@@ -91,7 +91,6 @@ def run_probe(case_name: str, n_tasks: int, stride: int) -> Dict:
     # 0.088 s real).  Warm both paths' machinery before timing either.
     model.solve(
         backend="branch_bound",
-        lp_engine="simplex",
         lp_max_iterations=200_000,
         warm_start=True,
     )
@@ -99,7 +98,6 @@ def run_probe(case_name: str, n_tasks: int, stride: int) -> Dict:
         start = time.perf_counter()
         solution = model.solve(
             backend="branch_bound",
-            lp_engine="simplex",
             lp_max_iterations=200_000,
             warm_start=warm,
         )

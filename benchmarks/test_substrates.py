@@ -42,7 +42,7 @@ class TestIlpBackends:
                 quicksum(w * x for w, x in zip(weights, xs)) <= 25
             )
             m.maximize(quicksum(v * x for v, x in zip(values, xs)))
-            return m.solve(backend="branch_bound", lp_engine="scipy")
+            return m.solve(backend="branch_bound")
 
         solution = benchmark(solve)
         assert solution.status is SolveStatus.OPTIMAL
@@ -57,7 +57,7 @@ class TestIlpBackends:
                     <= 100 + j
                 )
             m.minimize(quicksum(-x for x in xs))
-            return m.solve(backend="branch_bound", lp_engine="simplex")
+            return m.solve(backend="branch_bound")
 
         solution = benchmark(solve)
         assert solution.status is SolveStatus.OPTIMAL

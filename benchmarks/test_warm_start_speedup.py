@@ -28,7 +28,6 @@ def _solve_with_telemetry(model, warm: bool):
     try:
         solution = model.solve(
             backend="branch_bound",
-            lp_engine="simplex",
             lp_max_iterations=200_000,
             warm_start=warm,
         )

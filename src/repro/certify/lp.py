@@ -110,7 +110,7 @@ def certify_lp(
     bounds: Sequence[Tuple[float, float]],
     eps: Fraction = CERT_EPS,
 ) -> Certificate:
-    """Verify an :class:`~repro.ilp.simplex.LpResult` against the data
+    """Verify an :class:`~repro.ilp.compiled.LpResult` against the data
     that produced it.
 
     OPTIMAL verdicts get a primal-feasibility replay plus (when the
@@ -315,17 +315,6 @@ def _certify_infeasible(
             return cert
         if y[i] > _ZERO:
             y[i] = _ZERO
-    bound_ray: List[Tuple[int, Fraction]] = []
-    for j, mu_f in result.farkas_bounds or []:
-        mu = _frac(mu_f)
-        if mu > eps:
-            cert.fail(
-                "lp-farkas-sign", f"bound-row x[{j}]",
-                "Farkas multiplier on an upper-bound row must be nonpositive",
-                measured=float(mu), expected=0.0,
-            )
-            return cert
-        bound_ray.append((j, min(mu, _ZERO)))
 
     # Aggregate: with y <= 0 on <= rows, any feasible x satisfies
     # q x >= y b where q = y A.  If max_{box} q x < y b, no x exists.
@@ -345,9 +334,6 @@ def _certify_infeasible(
             if a_eq[k, j] != 0.0:
                 acc += y[m_ub + k] * _frac(a_eq[k, j])
         q[j] = acc
-    for j, mu in bound_ray:
-        q[j] += mu
-        yb += mu * _frac(bounds[j][1])
 
     upper = _ZERO
     allowance = _ZERO

@@ -62,6 +62,8 @@ def design_dict(result: SynthesisResult, setting: int = 1) -> Dict[str, Any]:
                 "time": route.time,
                 "source": route.event.source,
                 "target": route.event.target,
+                "source_is_port": route.event.source_is_port,
+                "target_is_port": route.event.target_is_port,
                 "cells": [[c.x, c.y] for c in route.cells],
             }
         )

@@ -28,10 +28,10 @@ and mirrors it into :mod:`repro.obs` when telemetry is enabled.
 Failure handling follows the degradation ladder (DESIGN.md §9): a
 window whose ILP solve fails is split in half and re-solved exactly
 (``window_shrink``), then falls back to the greedy balancer for that
-window only (``window_greedy``); a broken refinement process pool
-re-solves only the failed windows serially (``pool_serial``); an
+window only (``greedy``, scope ``window``); a broken refinement process
+pool re-solves only the failed windows serially (``pool_serial``); an
 expired mapping deadline finishes the remaining tasks greedily and
-skips refinement (``deadline_greedy``).  Every mapper accepts an
+skips refinement (``greedy``, scope ``deadline``).  Every mapper accepts an
 optional :class:`repro.resilience.Deadline` (propagated into solver
 time limits) and :class:`repro.resilience.DegradationLadder` (which
 records the rungs taken).
@@ -491,7 +491,7 @@ class WindowedILPMapper(BaseMapper):
             stats["whole_problem_fallback"] = 1
             if ladder is not None:
                 ladder.engage(
-                    "mapping", DegradationLadder.WHOLE_GREEDY, str(error)
+                    "mapping", DegradationLadder.GREEDY, f"whole: {error}"
                 )
             result = GreedyMapper().map_tasks(spec)
         finally:
@@ -561,7 +561,7 @@ class WindowedILPMapper(BaseMapper):
         # Rolling-horizon pass: windows in start order, earlier windows
         # committed as constants.  When the deadline expires mid-roll,
         # the remaining tasks are placed in one greedy sweep — degraded
-        # but bounded (ladder rung ``deadline_greedy``).
+        # but bounded (ladder rung ``greedy``, scope ``deadline``).
         for lo in range(0, len(ordered), self.window_size):
             if deadline is not None and deadline.expired:
                 rest = ordered[lo:]
@@ -569,9 +569,9 @@ class WindowedILPMapper(BaseMapper):
                 if ladder is not None:
                     ladder.engage(
                         "mapping",
-                        DegradationLadder.DEADLINE_GREEDY,
-                        f"{len(rest)} tasks placed greedily after budget "
-                        "expiry",
+                        DegradationLadder.GREEDY,
+                        f"deadline: {len(rest)} tasks placed greedily "
+                        "after budget expiry",
                     )
                 result = GreedyMapper().map_tasks(
                     self._window_spec(spec, rest, ordered, placements)
@@ -1052,8 +1052,8 @@ class WindowedILPMapper(BaseMapper):
         1. the window's exact ILP (time-limited by the deadline);
         2. ``window_shrink`` — split the window in half, solve each
            half exactly (the first half commits before the second);
-        3. ``window_greedy`` — the greedy balancer for this window
-           only (raises :class:`SynthesisError` when even that is
+        3. ``greedy`` (scope ``window``) — the greedy balancer for
+           this window only (raises :class:`SynthesisError` when even that is
            infeasible; the caller owns the next rung).
         """
         window_start = time.perf_counter()
@@ -1085,8 +1085,8 @@ class WindowedILPMapper(BaseMapper):
             if ladder is not None:
                 ladder.engage(
                     "mapping",
-                    DegradationLadder.WINDOW_GREEDY,
-                    f"greedy fallback for window of {len(window)}",
+                    DegradationLadder.GREEDY,
+                    f"window: greedy fallback for window of {len(window)}",
                 )
             result = GreedyMapper().map_tasks(window_spec)
         if stats is not None:

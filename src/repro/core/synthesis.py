@@ -207,7 +207,7 @@ class ReliabilitySynthesizer:
                 raise  # already at the bottom of the ladder
             if ladder is not None:
                 ladder.engage(
-                    "mapping", DegradationLadder.MAPPING_GREEDY, str(error)
+                    "mapping", DegradationLadder.GREEDY, f"mapping: {error}"
                 )
             return GreedyMapper().map_tasks(
                 spec, deadline=deadline, ladder=ladder

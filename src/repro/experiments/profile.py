@@ -18,7 +18,7 @@ enabled and emits a JSON + text report of the hot-path counters:
   simplex.  The full synthesis usually runs on HiGHS, so these are
   exercised by a **solver probe**: a small mapping sub-model (the
   case's first two tasks on a coarse anchor grid) solved exactly with
-  ``backend="branch_bound", lp_engine="simplex"``.
+  ``backend="branch_bound"``.
 
 The report doubles as the CI benchmark-smoke artifact: a run that
 crashes, loses counters or silently stops exploring nodes fails there
@@ -86,7 +86,7 @@ def _solver_probe(case) -> Dict[str, float]:
     built = MappingModelBuilder(spec).build()
     start = time.perf_counter()
     solution = built.model.solve(
-        backend="branch_bound", lp_engine="simplex", lp_max_iterations=100_000
+        backend="branch_bound", lp_max_iterations=100_000
     )
     probe = {
         "variables": float(built.model.num_vars),

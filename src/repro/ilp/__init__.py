@@ -8,11 +8,10 @@ Gurobi is proprietary, so this package provides the substrate instead:
   :class:`~repro.ilp.expr.LinExpr`,
   :class:`~repro.ilp.constraint.Constraint` — including the big-M
   disjunction helper used for the non-overlap constraints (eqs. 3–8);
-* a dense **two-phase primal simplex** LP solver
-  (:mod:`repro.ilp.simplex`) written from scratch;
-* a **compiled-model bounded-variable revised simplex**
-  (:mod:`repro.ilp.compiled`) with a dual-simplex phase for warm starts
-  from a stored basis;
+* one LP engine written from scratch: a **compiled-model
+  bounded-variable revised simplex** (:mod:`repro.ilp.compiled`) over a
+  sparse LU basis factorization, with a dual-simplex phase for warm
+  starts from a stored basis;
 * a **branch & bound** MILP solver (:mod:`repro.ilp.branch_bound`) on
   top: the standard form is compiled once per search and child nodes
   warm start from their parent's optimal basis;

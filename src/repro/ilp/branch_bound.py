@@ -10,8 +10,7 @@ Solves a :class:`repro.ilp.model.Model` by LP-relaxation branch & bound:
   simplex over a :class:`repro.ilp.compiled.CompiledModel` — the
   standard-form conversion happens **once per search**, and child nodes
   **warm start** from their parent's optimal basis through the dual
-  simplex (``warm_start=False`` restores the per-node cold start) — or,
-  optionally, :func:`scipy.optimize.linprog`;
+  simplex (``warm_start=False`` restores the per-node cold start);
 * a few rounds of root **cutting planes** (:mod:`repro.ilp.cuts`):
   Gomory fractional cuts and knapsack covers, derived in exact
   rationals and appended as extra ``<=`` rows before branching starts;
@@ -46,7 +45,6 @@ from repro.errors import CertificationError, SolverError
 from repro.ilp.compiled import Basis, CompiledModel
 from repro.ilp.incumbent import IncumbentPool
 from repro.ilp.model import Model, ObjectiveSense
-from repro.ilp.simplex import LpResult
 from repro.ilp.solution import Solution, SolveStatus
 from repro.ilp.tolerances import GAP_EPS, INTEGRALITY_EPS
 from repro.obs import TELEMETRY
@@ -241,61 +239,6 @@ class _WarmStartGovernor:
             self.disable = warm_mean > self.factor * cold_mean
 
 
-def _solve_relaxation(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    bounds: List[Tuple[float, float]],
-    lp_engine: str,
-    lp_max_iterations: int,
-    compiled: Optional[CompiledModel] = None,
-    basis: Optional[Basis] = None,
-    want_duals: bool = False,
-    deadline: Optional[float] = None,
-) -> LpResult:
-    if compiled is not None:
-        # The standard-form conversion was compiled once for the whole
-        # search; per node only the bound vectors (and optionally the
-        # parent basis) change.
-        assert compiled is not None
-        return compiled.solve(
-            bounds, basis=basis, max_iterations=lp_max_iterations,
-            want_duals=want_duals, deadline=deadline,
-        )
-    # scipy linprog engine (HiGHS LP): used to accelerate the from-scratch
-    # tree search on larger relaxations.
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c,
-        A_ub=a_ub if a_ub.size else None,
-        b_ub=b_ub if b_ub.size else None,
-        A_eq=a_eq if a_eq.size else None,
-        b_eq=b_eq if b_eq.size else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 0:
-        duals = None
-        if want_duals:
-            # HiGHS marginals follow the same convention as the
-            # from-scratch engines (<= 0 on inequality rows, minimize).
-            ineq = getattr(res, "ineqlin", None)
-            eq = getattr(res, "eqlin", None)
-            if ineq is not None and eq is not None:
-                duals = np.concatenate(
-                    [np.asarray(ineq.marginals), np.asarray(eq.marginals)]
-                )
-        return LpResult(SolveStatus.OPTIMAL, res.x, float(res.fun), duals=duals)
-    if res.status == 2:
-        return LpResult(SolveStatus.INFEASIBLE)
-    if res.status == 3:
-        return LpResult(SolveStatus.UNBOUNDED)
-    return LpResult(SolveStatus.NO_SOLUTION)
-
-
 def _root_cut_loop(
     compiled: CompiledModel,
     c: np.ndarray,
@@ -306,8 +249,6 @@ def _root_cut_loop(
     root_bounds: List[Tuple[float, float]],
     integrality,
     lp_max_iterations: int,
-    lp_scaling: bool,
-    engine: str,
     cut_rounds: int,
     certify: str,
     cut_stats: Dict[str, float],
@@ -344,15 +285,8 @@ def _root_cut_loop(
             if integrality[j]
         ):
             break  # the root is already integral: nothing to separate
-        # Multipliers must live in the caller's row space, so a scaled
-        # search derives cuts through an unscaled twin of the model.
-        tableau = (
-            compiled
-            if compiled.row_scale is None
-            else CompiledModel(c, a_ub, b_ub, a_eq, b_eq, engine=engine)
-        )
         found = generate_cuts(
-            a_ub, b_ub, a_eq, b_eq, root_bounds, integrality, relax, tableau
+            a_ub, b_ub, a_eq, b_eq, root_bounds, integrality, relax, compiled
         )
         kept = []
         for cut in found:
@@ -368,10 +302,7 @@ def _root_cut_loop(
             break
         cand_a_ub = np.vstack([a_ub] + [cut.row for cut in kept])
         cand_b_ub = np.append(b_ub, [cut.rhs for cut in kept])
-        cand_compiled = CompiledModel(
-            c, cand_a_ub, cand_b_ub, a_eq, b_eq, scale=lp_scaling,
-            engine=engine,
-        )
+        cand_compiled = CompiledModel(c, cand_a_ub, cand_b_ub, a_eq, b_eq)
         cand_relax = cand_compiled.solve(
             root_bounds, max_iterations=lp_max_iterations, deadline=deadline
         )
@@ -393,7 +324,6 @@ def _root_cut_loop(
 
 def solve_branch_bound(
     model: Model,
-    lp_engine: str = "simplex",
     max_nodes: int = 200_000,
     time_limit: Optional[float] = None,
     absolute_gap: float = GAP_EPS,
@@ -402,8 +332,6 @@ def solve_branch_bound(
     warm_start_min_rows: int = _WARM_START_MIN_ROWS,
     max_stored_bases: int = _MAX_STORED_BASES,
     certify: str = "off",
-    lp_scaling: bool = False,
-    engine: str = "sparse",
     presolve: bool = True,
     cuts: bool = True,
     cut_rounds: int = 3,
@@ -412,15 +340,8 @@ def solve_branch_bound(
 ) -> Solution:
     """Optimize ``model`` by branch & bound.
 
-    ``lp_engine`` selects the relaxation solver: ``"simplex"`` (the
-    from-scratch solver; ``"compiled"`` is an accepted alias) or
-    ``"scipy"`` (HiGHS LP); anything else raises
-    :class:`~repro.errors.SolverError` — it used to fall through to the
-    scipy path silently, which let tests believe they were exercising
-    the compiled engine.  ``engine`` picks the basis factorization
-    inside the compiled simplex: ``"sparse"`` (CSC + ``splu`` LU with
-    eta-file updates, the default) or ``"dense"`` (explicit inverse,
-    kept as the differential-testing oracle).  ``absolute_gap``
+    Every relaxation is solved by the sparse-LU revised simplex of
+    :class:`~repro.ilp.compiled.CompiledModel`.  ``absolute_gap``
     prunes nodes whose bound cannot improve the incumbent by more than
     the gap; the mapping objective is integral, so callers may pass a
     gap just below 1 to prove optimality faster.  ``lp_max_iterations``
@@ -432,14 +353,13 @@ def solve_branch_bound(
     every LP certificate then operate on the reduced arrays (variables
     are never renumbered, so solutions need no postsolve).  ``cuts``
     adds up to ``cut_rounds`` rounds of root cutting planes
-    (:mod:`repro.ilp.cuts`; simplex engine only — the scipy path
-    exposes no basis).  Under ``certify != "off"`` every cut must pass
-    :func:`repro.certify.certify_cut` or it is dropped, so a strict
+    (:mod:`repro.ilp.cuts`).  Under ``certify != "off"`` every cut must
+    pass :func:`repro.certify.certify_cut` or it is dropped, so a strict
     search never tightens the relaxation on unproven grounds.
 
-    With ``warm_start`` (simplex engine only) every child node re-solves
-    from its parent's optimal basis through the dual simplex instead of
-    a two-phase cold start; ``warm_start=False`` keeps the cold-start
+    With ``warm_start`` every child node re-solves from its parent's
+    optimal basis through the dual simplex instead of a two-phase cold
+    start; ``warm_start=False`` keeps the cold-start
     path (statuses and objectives are identical either way — asserted in
     ``tests/ilp/test_warm_start.py``).  ``warm_start_min_rows`` gates
     warm starts by standard-form size: below the threshold the dual
@@ -480,18 +400,11 @@ def solve_branch_bound(
     (exact-arithmetic LP certificates) and the final incumbent replay,
     recording outcomes in ``stats``; ``"strict"`` additionally raises
     :class:`~repro.errors.CertificationError` on the first failed
-    certificate.  ``lp_scaling`` enables geometric-mean equilibration
-    inside the compiled simplex (power-of-two scales; see DESIGN.md §10).
+    certificate.
     """
     if certify not in ("off", "audit", "strict"):
         raise SolverError(
             f"unknown certify level {certify!r}; expected off/audit/strict"
-        )
-    if lp_engine == "compiled":
-        lp_engine = "simplex"
-    if lp_engine not in ("simplex", "scipy"):
-        raise SolverError(
-            f"unknown lp_engine {lp_engine!r}; expected simplex/compiled/scipy"
         )
     certifying = certify != "off"
     if certifying:
@@ -528,27 +441,15 @@ def solve_branch_bound(
         # root_bounds: the root LP reports INFEASIBLE from the empty
         # box, which certify_lp accepts via its trivial-bounds check.
 
-    compiled = (
-        CompiledModel(c, a_ub, b_ub, a_eq, b_eq, scale=lp_scaling, engine=engine)
-        if lp_engine == "simplex"
-        else None
-    )
+    compiled = CompiledModel(c, a_ub, b_ub, a_eq, b_eq)
 
     warm_gated = False
-    if (
-        warm_start
-        and compiled is not None
-        and compiled.m < warm_start_min_rows
-    ):
+    if warm_start and compiled.m < warm_start_min_rows:
         # See _WARM_START_MIN_ROWS: below this size the cold path is
         # faster per node than the dual repair it would replace.
         warm_start = False
         warm_gated = True
-    governor = (
-        _WarmStartGovernor()
-        if warm_start and compiled is not None
-        else None
-    )
+    governor = _WarmStartGovernor() if warm_start else None
 
     cut_stats: Dict[str, float] = {
         "cuts_added": 0,
@@ -559,12 +460,12 @@ def solve_branch_bound(
     }
     root_basis: Optional[Basis] = None
     root_obj: Optional[float] = None
-    if cuts and compiled is not None and int_indices:
+    if cuts and int_indices:
         cut_start = time.perf_counter()
         compiled, a_ub, b_ub, root_basis, root_obj = _root_cut_loop(
             compiled, c, a_ub, b_ub, a_eq, b_eq, root_bounds, integrality,
-            lp_max_iterations, lp_scaling, engine, cut_rounds, certify,
-            cut_stats, deadline=lp_deadline,
+            lp_max_iterations, cut_rounds, certify, cut_stats,
+            deadline=lp_deadline,
         )
         cut_stats["cut_wall_time"] = time.perf_counter() - cut_start
 
@@ -655,11 +556,7 @@ def solve_branch_bound(
 
     _poll_external()
     root_stop = False
-    if (
-        best_x is not None
-        and stats["external_incumbents"]
-        and compiled is not None
-    ):
+    if best_x is not None and stats["external_incumbents"]:
         # Satellite of the anytime race: an injected incumbent that
         # already matches the proven root bound needs no enumeration.
         if root_obj is None:
@@ -678,12 +575,7 @@ def solve_branch_bound(
             stats["root_bound_stop"] = 1
             root_stop = True
 
-    if (
-        dive
-        and compiled is not None
-        and int_indices
-        and best_x is None
-    ):
+    if dive and int_indices and best_x is None:
         dive_bounds = list(root_bounds)
         dive_basis = root_basis if warm_start else None
         for _ in range(len(int_indices) + 1):
@@ -764,10 +656,9 @@ def solve_branch_bound(
         if node_basis is not None:
             stats["basis_reuse_hits"] += 1
         lp_start = time.perf_counter()
-        relax = _solve_relaxation(
-            c, a_ub, b_ub, a_eq, b_eq, node.bounds, lp_engine,
-            lp_max_iterations, compiled, node_basis, certifying,
-            deadline=lp_deadline,
+        relax = compiled.solve(
+            node.bounds, basis=node_basis, max_iterations=lp_max_iterations,
+            want_duals=certifying, deadline=lp_deadline,
         )
         lp_wall = time.perf_counter() - lp_start
         stats["lp_wall_time"] += lp_wall

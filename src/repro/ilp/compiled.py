@@ -1,18 +1,15 @@
 """Compiled LP standard form + bounded-variable revised simplex.
 
-The branch & bound search (:mod:`repro.ilp.branch_bound`) solves one LP
-relaxation per tree node, and every node differs from its parent by a
-single variable-bound tightening.  The original dense two-phase solver
-(:mod:`repro.ilp.simplex`) re-derives the full standard-form conversion
-— bound shifts, mirrored columns, split free variables, explicit
-upper-bound rows — and re-runs phase 1 from a cold start at every node.
-This module removes both costs:
+This is the LP engine underneath the from-scratch branch & bound MILP
+solver (:mod:`repro.ilp.branch_bound`), which solves one relaxation
+per tree node; every node differs from its parent by a single
+variable-bound tightening.  The engine is built around that:
 
-* :class:`CompiledModel` performs the conversion **once per search**.
-  Variables keep their native bounds (no mirror/split columns, no bound
-  rows): the matrix is ``[A_ub | I slacks | I artificials]`` over
-  ``A_eq`` stacked below, shared by every node; only the bound vectors
-  change from node to node.
+* :class:`CompiledModel` performs the standard-form conversion **once
+  per search**.  Variables keep their native bounds (no mirror/split
+  columns, no bound rows): the matrix is ``[A_ub | I slacks | I
+  artificials]`` over ``A_eq`` stacked below, shared by every node;
+  only the bound vectors change from node to node.
 * the revised simplex core works directly on bounded variables — a
   nonbasic variable sits at its lower or upper bound (or at zero when
   free) and may *bound-flip* without a basis change.
@@ -21,27 +18,23 @@ This module removes both costs:
   so a handful of dual pivots replace a full phase-1 + phase-2 cold
   start.  :class:`Basis` snapshots are small (two integer arrays) and
   are stored on the branch & bound nodes.
-
-The basis factorization behind the pivots is pluggable (``engine``):
-
-* ``"sparse"`` (default) — the constraint matrix is held in CSC form
-  and the basis is factorized by ``scipy.sparse.linalg.splu``
-  (Markowitz-style fill-reducing LU).  Pivots extend the factorization
-  through an **eta file** (product-form updates applied during every
-  FTRAN/BTRAN) instead of touching the factors, with periodic
-  refactorization — and early refactorization when the residual
-  monitor sees drift.  Pricing is Dantzig (most-improving reduced
-  cost) with an automatic switch to Bland's rule after a run of
-  degenerate pivots, so termination stays guaranteed.
-* ``"dense"`` — the original explicit ``m×m`` basis inverse with
-  rank-1 product-form updates and pure Bland pricing.  Kept as the
-  differential-testing oracle; statuses and optimal objectives must
-  match the sparse engine on every instance
-  (``tests/ilp/test_engine_equivalence.py``).
+* the constraint matrix is held in CSC form and the basis is
+  factorized by ``scipy.sparse.linalg.splu`` (Markowitz-style
+  fill-reducing LU).  Pivots extend the factorization through an **eta
+  file** (product-form updates applied during every FTRAN/BTRAN)
+  instead of touching the factors, with periodic refactorization — and
+  early refactorization when the residual monitor sees drift.  Pricing
+  is Dantzig (most-improving reduced cost) with an automatic switch to
+  Bland's rule after a run of degenerate pivots, so termination stays
+  guaranteed.
 
 Statuses and optimal objectives are identical to the cold-start path;
 the equivalence is asserted both ways in ``tests/ilp/test_warm_start.py``
-and benchmarked in ``benchmarks/test_warm_start_speedup.py``.
+and benchmarked in ``benchmarks/test_warm_start_speedup.py``.  Answers
+are checked against exact-arithmetic certificates
+(:mod:`repro.certify.lp`) and against scipy's HiGHS
+(``tests/ilp/test_engine_equivalence.py``,
+``tests/ilp/test_solver_differential.py``).
 """
 
 from __future__ import annotations
@@ -53,8 +46,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import SolverError
-from repro.ilp.simplex import LpResult
 from repro.ilp.solution import SolveStatus
 from repro.ilp.tolerances import (
     DUAL_FLIP_EPS,
@@ -71,11 +62,11 @@ from repro.obs import TELEMETRY
 _EPS = OPTIMALITY_EPS
 _FEAS_EPS = FEASIBILITY_EPS
 _PIVOT_EPS = PIVOT_EPS
-#: Refactorize the basis every this many pivots (dense: rebuild the
-#: inverse; sparse: drop the eta file and re-run the LU).  Applying the
-#: eta file costs one dense saxpy per recorded pivot per solve, so the
-#: cycle length trades a cheap periodic LU against linearly growing
-#: FTRAN/BTRAN cost; 32 measures better than 64 on the mapping models.
+#: Refactorize the basis (drop the eta file and re-run the LU) every
+#: this many pivots.  Applying the eta file costs one dense saxpy per
+#: recorded pivot per solve, so the cycle length trades a cheap
+#: periodic LU against linearly growing FTRAN/BTRAN cost; 32 measures
+#: better than 64 on the mapping models.
 _REFACTOR_EVERY = 32
 #: Residual-monitor cadence: halfway through each refactor cycle the
 #: primal core checks ``||A x - b||_inf`` and refactorizes early when
@@ -91,6 +82,36 @@ BASIC = 0
 AT_LOWER = -1
 AT_UPPER = 1
 FREE = 2
+
+
+@dataclass
+class LpResult:
+    """Raw result of an LP solve in the original variable space.
+
+    ``iterations`` counts every pivot (primal and dual) and
+    ``dual_pivots`` the dual-simplex share of them; ``basis`` is the
+    optimal basis snapshot for child-node reuse, and ``warm_started`` /
+    ``cold_fallback`` record whether a supplied parent basis was
+    actually used or had to be abandoned.
+
+    The certificate fields are filled only when the solve was asked for
+    them (``want_duals=True``): ``duals`` holds one multiplier per
+    original row (``a_ub`` rows first, then ``a_eq`` rows; <= 0 on the
+    inequality rows) at an OPTIMAL verdict, ``farkas`` the same-shaped
+    infeasibility ray at an INFEASIBLE verdict.  They are consumed by
+    :mod:`repro.certify`.
+    """
+
+    status: SolveStatus
+    x: Optional[np.ndarray] = None
+    objective: float = math.nan
+    iterations: int = 0
+    dual_pivots: int = 0
+    basis: Optional[Basis] = None
+    warm_started: bool = False
+    cold_fallback: bool = False
+    duals: Optional[np.ndarray] = None
+    farkas: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -117,50 +138,6 @@ class _Exhausted(Exception):
 
 class _SingularBasis(Exception):
     """Internal: refactorization failed (warm solves fall back cold)."""
-
-
-class _DenseFactor:
-    """Explicit basis inverse with rank-1 product-form updates.
-
-    The legacy representation: ``binv`` is the full ``m×m`` inverse,
-    FTRAN/BTRAN are dense matvecs, and each pivot is one BLAS rank-1
-    outer-product update.
-    """
-
-    def __init__(self, a: np.ndarray) -> None:
-        self._a = a
-        self._binv: Optional[np.ndarray] = None
-
-    def refactor(self, basic: np.ndarray) -> None:
-        try:
-            self._binv = np.linalg.inv(self._a[:, basic])
-        except np.linalg.LinAlgError:
-            raise _SingularBasis()
-
-    def ftran(self, v: np.ndarray) -> np.ndarray:
-        """``B^-1 v``."""
-        return self._binv @ v
-
-    def btran(self, v: np.ndarray) -> np.ndarray:
-        """``v B^-1`` (row vector in, row vector out)."""
-        return v @ self._binv
-
-    def row(self, r: int) -> np.ndarray:
-        """``e_r^T B^-1`` — one row of the inverse."""
-        return self._binv[r]
-
-    def update(self, w: np.ndarray, r: int) -> None:
-        """Product-form update after a pivot with direction
-        ``w = B^-1 A[:, entering]`` leaving at ``row``.
-
-        One rank-1 BLAS update: eliminating ``w`` row by row in Python
-        costs more interpreter time than the whole outer product.
-        """
-        binv = self._binv
-        binv[r] /= w[r]
-        scale = w.copy()
-        scale[r] = 0.0
-        binv -= np.outer(scale, binv[r])
 
 
 class _SparseLuFactor:
@@ -193,10 +170,10 @@ class _SparseLuFactor:
             self._lu = None
             return
         # Identity fast path: every cold start seeds the basis with one
-        # slack or artificial per row, i.e. B = I exactly (equilibration
-        # keeps those columns at exactly 1).  Detecting that from the
-        # CSC structure costs O(m) and skips SuperLU entirely — the
-        # branch-&-bound cold path refactors this basis once per node.
+        # slack or artificial per row, i.e. B = I exactly.  Detecting
+        # that from the CSC structure costs O(m) and skips SuperLU
+        # entirely — the branch-&-bound cold path refactors this basis
+        # once per node.
         ap, ai, ax = self._a.indptr, self._a.indices, self._a.data
         starts = ap[basic]
         if (
@@ -256,10 +233,6 @@ class CompiledModel:
     rows are ``A_ub`` stacked over ``A_eq``.  Slacks live in ``[0, inf)``;
     artificials are pinned to ``[0, 0]`` except while a cold phase 1
     temporarily opens row ``i``'s artificial to cover its residual.
-
-    ``engine`` selects the basis representation: ``"sparse"`` (CSC
-    matrix + ``splu`` + eta-file updates, the default) or ``"dense"``
-    (explicit inverse, the legacy differential-testing oracle).
     """
 
     def __init__(
@@ -269,13 +242,9 @@ class CompiledModel:
         b_ub: np.ndarray,
         a_eq: np.ndarray,
         b_eq: np.ndarray,
-        scale: bool = False,
-        engine: str = "sparse",
     ) -> None:
-        if engine not in ("sparse", "dense"):
-            raise SolverError(
-                f"unknown simplex engine {engine!r}; expected sparse/dense"
-            )
+        from scipy.sparse import csc_matrix
+
         n = len(c)
         a_ub = (
             np.asarray(a_ub, dtype=float).reshape(-1, n)
@@ -298,48 +267,32 @@ class CompiledModel:
         a[:m_ub, n : n + m_ub] = np.eye(m_ub)
         a[:, total:] = np.eye(m)
 
-        self.engine = engine
         self.n = n
         self.m = m
         self.m_ub = m_ub
         self.total = total
         self.total_ext = total_ext
-        self.a = a
         self.b = np.concatenate(
             [np.asarray(b_ub, dtype=float).ravel(), np.asarray(b_eq, dtype=float).ravel()]
         )
         self.cost = np.zeros(total_ext)
         self.cost[:n] = np.asarray(c, dtype=float)
-        #: Unscaled structural objective, kept so the reported optimum is
-        #: exactly ``c @ x`` in the caller's units even when scaled.
-        self.c_orig = self.cost[:n].copy()
-        #: Geometric-mean equilibration (opt-in; see DESIGN.md §10).
-        self.row_scale: Optional[np.ndarray] = None
-        self.col_scale: Optional[np.ndarray] = None
-        if scale and m and n:
-            self._equilibrate()
-        self.asp = None
-        self.asp_t = None
-        self._csc_matvec = None
-        if engine == "sparse":
-            from scipy.sparse import csc_matrix
+        self.asp = csc_matrix(a)
+        # Materialized transpose: `asp.T` builds a fresh matrix on
+        # every call, and pricing does two transpose products per
+        # pivot — caching it takes that off the hot path.
+        self.asp_t = self.asp.T.tocsc()
+        try:
+            # The `@` operator spends more time in scipy's dispatch
+            # and validation wrappers than in the multiply itself at
+            # these sizes (one pricing product per pivot); calling
+            # the C kernel directly skips that.  Private API, so any
+            # import/shape surprise falls back to the operator.
+            from scipy.sparse import _sparsetools
 
-            self.asp = csc_matrix(self.a)
-            # Materialized transpose: `asp.T` builds a fresh matrix on
-            # every call, and pricing does two transpose products per
-            # pivot — caching it takes that off the hot path.
-            self.asp_t = self.asp.T.tocsc()
-            try:
-                # The `@` operator spends more time in scipy's dispatch
-                # and validation wrappers than in the multiply itself at
-                # these sizes (one pricing product per pivot); calling
-                # the C kernel directly skips that.  Private API, so any
-                # import/shape surprise falls back to the operator.
-                from scipy.sparse import _sparsetools
-
-                self._csc_matvec = _sparsetools.csc_matvec
-            except (ImportError, AttributeError):
-                self._csc_matvec = None
+            self._csc_matvec = _sparsetools.csc_matvec
+        except (ImportError, AttributeError):
+            self._csc_matvec = None
         self._resid_tol = RESIDUAL_EPS * (
             1.0 + (float(np.abs(self.b).max()) if m else 0.0)
         )
@@ -354,56 +307,10 @@ class CompiledModel:
         #: iteration cap.
         self._lp_deadline: Optional[float] = None
 
-    def _equilibrate(self) -> None:
-        """Two sweeps of geometric-mean row/column scaling.
-
-        Scales are rounded to powers of two, so applying them multiplies
-        float mantissas exactly — statuses can shift only through
-        genuinely better conditioning, never through rounding noise.
-        Slack and artificial columns absorb the inverse row scale, which
-        keeps their coefficients exactly 1 (the phase-1 seeding logic is
-        untouched).
-        """
-        m, n = self.m, self.n
-        block = np.abs(self.a[:, :n])
-        mask = block > 0.0
-        row_scale = np.ones(m)
-        col_scale = np.ones(n)
-        for _ in range(2):
-            cur = block * row_scale[:, None] * col_scale[None, :]
-            logs = np.zeros_like(cur)
-            np.log2(cur, out=logs, where=mask)
-            counts = mask.sum(axis=1)
-            means = logs.sum(axis=1) / np.maximum(counts, 1)
-            row_scale *= np.exp2(np.round(-means) * (counts > 0))
-            cur = block * row_scale[:, None] * col_scale[None, :]
-            logs = np.zeros_like(cur)
-            np.log2(cur, out=logs, where=mask)
-            counts = mask.sum(axis=0)
-            means = logs.sum(axis=0) / np.maximum(counts, 1)
-            col_scale *= np.exp2(np.round(-means) * (counts > 0))
-        full_col = np.ones(self.total_ext)
-        full_col[:n] = col_scale
-        full_col[n : self.total] = 1.0 / row_scale[: self.m_ub]
-        full_col[self.total :] = 1.0 / row_scale
-        self.a *= row_scale[:, None]
-        self.a *= full_col[None, :]
-        self.b = self.b * row_scale
-        self.cost = self.cost * full_col
-        self.row_scale = row_scale
-        self.col_scale = full_col
-
-    # -- engine dispatch -------------------------------------------------
-
-    def _make_factor(self):
-        if self.engine == "sparse":
-            return _SparseLuFactor(self.asp)
-        return _DenseFactor(self.a)
+    # -- sparse products --------------------------------------------------
 
     def _ax(self, x: np.ndarray) -> np.ndarray:
         """``A x`` over the extended columns."""
-        if self.asp is None:
-            return self.a @ x
         if self._csc_matvec is not None:
             out = np.zeros(self.m)
             mat = self.asp
@@ -416,8 +323,6 @@ class CompiledModel:
 
     def _aty(self, y: np.ndarray) -> np.ndarray:
         """``y A`` (row duals priced over every extended column)."""
-        if self.asp_t is None:
-            return y @ self.a
         if self._csc_matvec is not None:
             out = np.zeros(self.total_ext)
             mat = self.asp_t
@@ -429,12 +334,10 @@ class CompiledModel:
         return self.asp_t @ y
 
     def _column(self, q: int) -> np.ndarray:
-        if self.asp is not None:
-            col = np.zeros(self.m)
-            start, end = self.asp.indptr[q], self.asp.indptr[q + 1]
-            col[self.asp.indices[start:end]] = self.asp.data[start:end]
-            return col
-        return self.a[:, q]
+        col = np.zeros(self.m)
+        start, end = self.asp.indptr[q], self.asp.indptr[q + 1]
+        col[self.asp.indices[start:end]] = self.asp.data[start:end]
+        return col
 
     # -- bounds ----------------------------------------------------------
 
@@ -446,11 +349,6 @@ class CompiledModel:
         for j, (lo, hi) in enumerate(bounds):
             lb[j] = lo
             ub[j] = hi
-        if self.col_scale is not None:
-            # Column j was multiplied by col_scale[j] (a power of two),
-            # so its bounds shrink by the same exact factor.
-            lb[: self.n] /= self.col_scale[: self.n]
-            ub[: self.n] /= self.col_scale[: self.n]
         ub[self.n : self.total] = math.inf  # slacks: [0, inf)
         # artificials stay pinned at [0, 0] unless phase 1 opens them
         return lb, ub
@@ -470,12 +368,12 @@ class CompiledModel:
         With ``basis`` (a parent node's optimal basis) the solve warm
         starts through the dual simplex; without one — or when the warm
         path fails — it cold starts through phase 1.  The returned
-        :class:`~repro.ilp.simplex.LpResult` carries the optimal
+        :class:`LpResult` carries the optimal
         :class:`Basis` for reuse, the dual pivot count, and whether the
         warm path was actually used (``warm_started`` /
         ``cold_fallback``).  With ``want_duals`` it also carries the
-        row duals at OPTIMAL and a Farkas ray at INFEASIBLE, both in the
-        caller's (unscaled) row units, for :mod:`repro.certify`.
+        row duals at OPTIMAL and a Farkas ray at INFEASIBLE, for
+        :mod:`repro.certify`.
 
         ``deadline`` is an absolute ``time.monotonic()`` timestamp: the
         pivot loops poll it every 64 iterations and give up with
@@ -505,8 +403,8 @@ class CompiledModel:
                 res.cold_fallback = True
         else:
             res = self._cold_solve(lb, ub, max_iterations, want_duals)
-        # Same per-solve flush as the dense engine, so `simplex.*`
-        # telemetry keeps covering whichever LP core actually ran.
+        # One flush per solve keeps `simplex.*` telemetry covering every
+        # LP the search runs.
         if TELEMETRY.enabled:
             TELEMETRY.count("simplex.solves")
             TELEMETRY.count("simplex.iterations", res.iterations)
@@ -518,16 +416,6 @@ class CompiledModel:
                 TELEMETRY.count("simplex.residual_refactors", hits)
         return res
 
-    def _unscale_row_vector(self, y: np.ndarray) -> np.ndarray:
-        """Map duals of the scaled rows back to the caller's rows.
-
-        Scaling replaced row i by ``R_i * row_i``, so a scaled dual
-        ``y'`` prices the original rows as ``y = R * y'``.
-        """
-        if self.row_scale is not None:
-            return y * self.row_scale
-        return y
-
     # -- tableau access (root cuts) --------------------------------------
 
     def basis_row_multipliers(
@@ -536,11 +424,10 @@ class CompiledModel:
         """Rows ``e_r^T B^-1`` of the basis inverse, for cut derivation.
 
         Returns a ``(len(row_indices), m)`` array of row multipliers in
-        *this model's* row space, or ``None`` when the basis cannot be
-        factorized.  Cut generators call this on an **unscaled** model
-        so the multipliers aggregate the caller's original rows.
+        the caller's row space, or ``None`` when the basis cannot be
+        factorized.
         """
-        fac = self._make_factor()
+        fac = _SparseLuFactor(self.asp)
         try:
             fac.refactor(np.asarray(basis.basic))
         except _SingularBasis:
@@ -577,7 +464,7 @@ class CompiledModel:
                 basic[i] = total + i
                 art_rows.append(i)
         status[basic] = BASIC
-        fac = self._make_factor()
+        fac = _SparseLuFactor(self.asp)
         fac.refactor(basic)
 
         iterations = 0
@@ -610,7 +497,7 @@ class CompiledModel:
                     # Phase-1 optimal duals certify infeasibility: at a
                     # positive phase-1 optimum y = c1_B B^-1 satisfies
                     # y @ A_col <= 0 for every real column and y @ b > 0.
-                    farkas = self._unscale_row_vector(fac.btran(phase1[basic]))
+                    farkas = fac.btran(phase1[basic])
                 return LpResult(
                     SolveStatus.INFEASIBLE,
                     iterations=iterations,
@@ -648,7 +535,7 @@ class CompiledModel:
         nb_lower = (status == AT_LOWER) & ~np.isfinite(lb)
         nb_upper = (status == AT_UPPER) & ~np.isfinite(ub)
         status[nb_lower | nb_upper] = FREE
-        fac = self._make_factor()
+        fac = _SparseLuFactor(self.asp)
         fac.refactor(basic)
 
         # The parent's optimal basis stays dual feasible after a bound
@@ -664,7 +551,7 @@ class CompiledModel:
         if dual_pivots < 0:  # dual unbounded: the child LP is infeasible
             farkas = None
             if want_duals and self._dual_ray is not None:
-                farkas = self._unscale_row_vector(self._dual_ray)
+                farkas = self._dual_ray
             return LpResult(
                 SolveStatus.INFEASIBLE,
                 iterations=-dual_pivots - 1,
@@ -698,17 +585,13 @@ class CompiledModel:
             return LpResult(st, iterations=iterations, dual_pivots=dual_pivots)
         x = self._full_solution(basic, status, fac, lb, ub)
         x_struct = x[: self.n].copy()
-        if self.col_scale is not None:
-            # Undo the exact power-of-two column scaling before the
-            # solution leaves the compiled core.
-            x_struct *= self.col_scale[: self.n]
         duals = None
         if want_duals:
-            duals = self._unscale_row_vector(fac.btran(self.cost[basic]))
+            duals = fac.btran(self.cost[basic])
         return LpResult(
             SolveStatus.OPTIMAL,
             x_struct,
-            float(self.c_orig @ x_struct),
+            float(self.cost[: self.n] @ x_struct),
             iterations,
             dual_pivots=dual_pivots,
             basis=Basis(basic.copy(), status.copy()),
@@ -755,12 +638,11 @@ class CompiledModel:
     ) -> Tuple[SolveStatus, float, int]:
         """Bounded-variable primal simplex.
 
-        The sparse engine prices with Dantzig's rule (most-improving
-        reduced cost) and switches to Bland's smallest-index rule after
-        ``_BLAND_AFTER`` consecutive degenerate steps, switching back on
-        the next nondegenerate one — fast in the common case, still
-        provably terminating.  The dense engine keeps pure Bland
-        pricing (the legacy oracle behavior).
+        Pricing uses Dantzig's rule (most-improving reduced cost) and
+        switches to Bland's smallest-index rule after ``_BLAND_AFTER``
+        consecutive degenerate steps, switching back on the next
+        nondegenerate one — fast in the common case, still provably
+        terminating.
 
         Mutates ``basic``/``status``/``fac`` in place; returns
         (status, objective, total iterations).  Raises :class:`_Exhausted`
@@ -789,7 +671,6 @@ class CompiledModel:
           iterations keep (only ``sign[q]`` changed) so a flip costs no
           BTRAN at all.
         """
-        dantzig = self.engine == "sparse"
         degenerate_run = 0
         since_refactor = 0
         x = self._full_solution(basic, status, fac, lb, ub)
@@ -845,7 +726,7 @@ class CompiledModel:
                     has_free = bool(free.any())
                     if has_free:
                         score = np.where(free, np.abs(d), score)
-            if dantzig and degenerate_run < _BLAND_AFTER:
+            if degenerate_run < _BLAND_AFTER:
                 # Dantzig: the most improving reduced cost (ties break
                 # to the smallest index via argmax's first-hit rule).
                 q = int(np.argmax(score))

@@ -298,8 +298,8 @@ def gomory_cuts(
 ) -> List[Cut]:
     """Gomory fractional cuts from the optimal basis of ``relax``.
 
-    ``tableau_model`` must be an **unscaled** :class:`CompiledModel`
-    over exactly ``(a_ub, b_ub, a_eq, b_eq)`` — its ``B⁻¹`` rows are the
+    ``tableau_model`` must be the :class:`CompiledModel` compiled over
+    exactly ``(a_ub, b_ub, a_eq, b_eq)`` — its ``B⁻¹`` rows are the
     multipliers in the caller's row space.
     """
     basis = relax.basis

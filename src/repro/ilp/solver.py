@@ -40,7 +40,8 @@ def solve(
       HiGHS for anything sizable (keeps tests exercising both paths);
     * ``"scipy"`` — :func:`scipy.optimize.milp` (HiGHS);
     * ``"branch_bound"`` — the from-scratch solver; extra ``kwargs``
-      (``lp_engine``, ``max_nodes``, ``absolute_gap``) are forwarded.
+      (``max_nodes``, ``absolute_gap``, ``warm_start``, ...) are
+      forwarded.
 
     ``certify`` (``off``/``audit``/``strict``) runs the independent
     certificate layer (:mod:`repro.certify`) on whatever the backend

@@ -2,8 +2,8 @@
 
 Every eps constant used by the from-scratch solvers lives here, with
 its semantics documented once, instead of being re-declared (and
-silently diverging) across :mod:`repro.ilp.simplex`,
-:mod:`repro.ilp.compiled` and :mod:`repro.ilp.branch_bound`.  The
+silently diverging) across :mod:`repro.ilp.compiled`,
+:mod:`repro.ilp.cuts` and :mod:`repro.ilp.branch_bound`.  The
 certification layer (:mod:`repro.certify`) imports the same constants,
 so the checker and the solvers always agree on what "zero" means.
 
@@ -14,7 +14,7 @@ constant                  meaning
 ========================  =============================================
 ``OPTIMALITY_EPS``        reduced-cost threshold: a column with
                           ``|d_j| <= OPTIMALITY_EPS`` is priced as
-                          non-improving (both simplex cores)
+                          non-improving (primal and dual simplex)
 ``FEASIBILITY_EPS``       primal bound-violation threshold of the dual
                           simplex violation scan
 ``PIVOT_EPS``             minimum pivot magnitude accepted when driving
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-#: Reduced-cost / pricing tolerance of both simplex cores.
+#: Reduced-cost / pricing tolerance of the primal and dual simplex.
 OPTIMALITY_EPS = 1e-9
 
 #: Primal-feasibility tolerance of the dual simplex violation scan.

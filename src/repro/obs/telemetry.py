@@ -13,7 +13,7 @@ integer increment even when telemetry is enabled.
 
 Counter names are dotted paths, one prefix per subsystem:
 
-* ``simplex.*`` — LP iterations, pivot wall time (``repro.ilp.simplex``)
+* ``simplex.*`` — LP iterations, pivot wall time (``repro.ilp.compiled``)
 * ``bb.*`` — branch & bound nodes explored / pruned / fallen-back,
   per-node LP wall time, and the warm-start counters
   (``basis_reuse_hits``, ``warm_starts``, ``warm_fallbacks``,

@@ -13,8 +13,17 @@ rung                      meaning
 ``window_shrink``         a window's ILP solve failed (timeout /
                           infeasible / solver fault); the window was
                           split in half and each half solved exactly
-``window_greedy``         the shrunken halves failed too; that window
-                          alone fell back to the greedy balancer
+``greedy``                the mapping fell back to the greedy
+                          balancer; the event detail starts with the
+                          scope: ``window`` (the shrunken halves failed
+                          too; that window alone), ``whole`` (a window
+                          dead-ended even for greedy; the whole mapping
+                          restarted greedily), ``mapping`` (the
+                          configured mapper failed outright: solver
+                          fault / budget expiry on the monolithic ILP)
+                          or ``deadline`` (the mapping-stage deadline
+                          expired mid-roll; the remaining tasks were
+                          placed greedily and refinement was skipped)
 ``pool_serial``           the refinement process pool broke (worker
                           crash, per-future timeout); the windows whose
                           futures failed were re-solved serially, the
@@ -28,16 +37,6 @@ rung                      meaning
 ``checkpoint_resume``     certified window solutions were replayed from
                           the crash-safe checkpoint journal instead of
                           being re-solved (DESIGN.md §14)
-``whole_greedy``          a window dead-ended even for greedy; the
-                          whole mapping restarted on the greedy
-                          balancer (the pre-ladder last resort)
-``mapping_greedy``        the configured mapper failed outright
-                          (solver fault / budget expiry on the
-                          monolithic ILP); the synthesizer re-mapped
-                          with the greedy balancer
-``deadline_greedy``       the mapping-stage deadline expired mid-roll;
-                          the remaining tasks were placed greedily and
-                          refinement was skipped
 ``anytime_heuristic``     the anytime race (DESIGN.md §13) ended with
                           the heuristic lane ahead: the adopted mapping
                           is certified feasible with a known objective
@@ -147,14 +146,11 @@ class DegradationLadder:
     """
 
     WINDOW_SHRINK = "window_shrink"
-    WINDOW_GREEDY = "window_greedy"
+    GREEDY = "greedy"
     POOL_SERIAL = "pool_serial"
     WORKER_RETRY = "worker_retry"
     WORKER_SERIAL = "worker_serial"
     CHECKPOINT_RESUME = "checkpoint_resume"
-    WHOLE_GREEDY = "whole_greedy"
-    MAPPING_GREEDY = "mapping_greedy"
-    DEADLINE_GREEDY = "deadline_greedy"
     ANYTIME_HEURISTIC = "anytime_heuristic"
     ROUTING_RELAXED = "routing_relaxed"
     ROUTING_OVERRUN = "routing_overrun"
@@ -164,14 +160,11 @@ class DegradationLadder:
     #: every rung, in descent order (documentation + test parametrization).
     RUNGS = (
         WINDOW_SHRINK,
-        WINDOW_GREEDY,
+        GREEDY,
         POOL_SERIAL,
         WORKER_RETRY,
         WORKER_SERIAL,
         CHECKPOINT_RESUME,
-        WHOLE_GREEDY,
-        MAPPING_GREEDY,
-        DEADLINE_GREEDY,
         ANYTIME_HEURISTIC,
         ROUTING_RELAXED,
         ROUTING_OVERRUN,

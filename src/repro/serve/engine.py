@@ -468,8 +468,11 @@ class ServeEngine:
     def _renamed_design(design: dict, mapping: Dict[str, str]) -> dict:
         """``design_dict`` output with operation names mapped through.
 
-        Port names and anything else not in ``mapping`` pass through
-        unchanged; the assay label is dropped (it is a label).
+        Only operation ends of a route are renamed: a port end keeps its
+        name even when an operation shares it (the fuzzer names its
+        inputs ``in0``, ``in1``, ... like the chip's input ports).
+        Anything else not in ``mapping`` passes through unchanged; the
+        assay label is dropped (it is a label).
         """
         design = copy.deepcopy(design)
         design["assay"] = ""
@@ -478,8 +481,9 @@ class ServeEngine:
                 device["operation"], device["operation"]
             )
         for route in design.get("routes", ()):
-            route["source"] = mapping.get(route["source"], route["source"])
-            route["target"] = mapping.get(route["target"], route["target"])
+            for end in ("source", "target"):
+                if not route.get(f"{end}_is_port"):
+                    route[end] = mapping.get(route[end], route[end])
         return design
 
     def _rename(self, payload: dict, job: Job) -> Optional[dict]:

@@ -1,7 +1,8 @@
 """Exact-arithmetic LP certificates across every LP engine.
 
-Each engine (dense cold-start simplex, compiled cold, compiled
-warm-start, scipy/HiGHS linprog) solves the same seeded random LPs; the
+Each solve path (the compiled simplex cold and warm-started, and
+scipy/HiGHS linprog as an external reference) solves the same seeded
+random LPs; the
 :mod:`repro.certify` layer must be able to certify every OPTIMAL answer
 through the duality-gap proof, and every INFEASIBLE answer that carries
 a Farkas ray.
@@ -13,8 +14,7 @@ import numpy as np
 import pytest
 
 from repro.certify.lp import certify_lp
-from repro.ilp.compiled import CompiledModel
-from repro.ilp.simplex import LpResult, solve_lp
+from repro.ilp.compiled import CompiledModel, LpResult
 from repro.ilp.solution import SolveStatus
 
 
@@ -60,16 +60,8 @@ def _scipy_solve(c, a_ub, b_ub, a_eq, b_eq, bounds) -> LpResult:
 
 
 def _engines():
-    def dense(c, a_ub, b_ub, a_eq, b_eq, bounds):
-        return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, want_duals=True)
-
     def compiled_cold(c, a_ub, b_ub, a_eq, b_eq, bounds):
         return CompiledModel(c, a_ub, b_ub, a_eq, b_eq).solve(
-            bounds, want_duals=True
-        )
-
-    def compiled_scaled(c, a_ub, b_ub, a_eq, b_eq, bounds):
-        return CompiledModel(c, a_ub, b_ub, a_eq, b_eq, scale=True).solve(
             bounds, want_duals=True
         )
 
@@ -82,9 +74,7 @@ def _engines():
         return compiled.solve(tighter, basis=parent.basis, want_duals=True)
 
     return {
-        "dense": dense,
         "compiled-cold": compiled_cold,
-        "compiled-scaled": compiled_scaled,
         "compiled-warm": compiled_warm,
         "scipy-linprog": _scipy_solve,
     }
@@ -142,7 +132,7 @@ def test_beale_degenerate_certifies() -> None:
     a_eq = np.zeros((0, 4))
     b_eq = np.zeros(0)
     bounds = [(0.0, np.inf)] * 4
-    for engine in ("dense", "compiled-cold", "compiled-scaled"):
+    for engine in ("compiled-cold", "scipy-linprog"):
         result = _engines()[engine](c, a_ub, b_ub, a_eq, b_eq, bounds)
         assert result.status is SolveStatus.OPTIMAL
         assert result.objective == pytest.approx(-0.05)
@@ -150,9 +140,7 @@ def test_beale_degenerate_certifies() -> None:
         assert cert.ok, (engine, [str(v) for v in cert.violations])
 
 
-@pytest.mark.parametrize(
-    "engine", ["dense", "compiled-cold", "compiled-scaled"]
-)
+@pytest.mark.parametrize("engine", ["compiled-cold"])
 def test_farkas_infeasible_certifies(engine: str) -> None:
     """x + y <= 1 and x + y >= 3 cannot both hold on [0, 10]^2."""
     c = np.array([1.0, 1.0])
@@ -195,7 +183,9 @@ def test_wrong_objective_is_rejected() -> None:
     a_eq = np.zeros((0, 2))
     b_eq = np.zeros(0)
     bounds = [(0.0, 5.0)] * 2
-    result = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, want_duals=True)
+    result = CompiledModel(c, a_ub, b_ub, a_eq, b_eq).solve(
+        bounds, want_duals=True
+    )
     assert result.status is SolveStatus.OPTIMAL
     result.objective = result.objective - 1.0
     cert = certify_lp(result, c, a_ub, b_ub, a_eq, b_eq, bounds)
@@ -210,7 +200,9 @@ def test_tampered_solution_vector_is_rejected() -> None:
     a_eq = np.zeros((0, 2))
     b_eq = np.zeros(0)
     bounds = [(0.0, 1.0)] * 2
-    result = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, want_duals=True)
+    result = CompiledModel(c, a_ub, b_ub, a_eq, b_eq).solve(
+        bounds, want_duals=True
+    )
     result.x = result.x + 0.5  # pushes the packed row over its rhs
     cert = certify_lp(result, c, a_ub, b_ub, a_eq, b_eq, bounds)
     assert not cert.ok

@@ -54,7 +54,8 @@ class TestWholeProblemFallback:
         result = mapper.map_tasks(make_spec(), ladder=ladder)
         assert result.mapper == GreedyMapper.name
         assert result.stats["whole_problem_fallback"] == 1
-        assert ladder.fired(DegradationLadder.WHOLE_GREEDY) == 1
+        assert ladder.fired(DegradationLadder.GREEDY) == 1
+        assert ladder.report.events[0].detail.startswith("whole:")
         assert len(result.placements) == 3
 
     def test_clean_solve_does_not_fall_back(self):

@@ -45,7 +45,7 @@ def random_milp(draw):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_milp())
 def test_backends_find_equal_optima(model):
-    mine = model.solve(backend="branch_bound", lp_engine="simplex")
+    mine = model.solve(backend="branch_bound")
     highs = model.solve(backend="scipy")
     assert mine.status is SolveStatus.OPTIMAL
     assert highs.status is SolveStatus.OPTIMAL

@@ -17,10 +17,9 @@ def knapsack_model():
 
 
 class TestBranchBound:
-    @pytest.mark.parametrize("lp_engine", ["simplex", "scipy"])
-    def test_knapsack_optimum(self, lp_engine):
+    def test_knapsack_optimum(self):
         m, xs = knapsack_model()
-        sol = solve_branch_bound(m, lp_engine=lp_engine)
+        sol = solve_branch_bound(m)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(23.0)  # items 0, 2 and 4
         for x in xs:

@@ -1,10 +1,10 @@
-"""Dense-inverse vs sparse-LU engines must be interchangeable.
+"""The sparse-LU engine and scipy's HiGHS must be interchangeable.
 
-The dense explicit-inverse factorization is kept exactly for this:
-a slow, simple oracle to differential-test the sparse LU + eta-file
-engine against.  Same statuses, same objectives, and certified answers
-on both — on seeded random MILPs, on hand-built edge shapes, and on a
-real mapping window from the paper's table-1 cases.
+HiGHS is the external reference the from-scratch branch & bound (and
+its sparse LU + eta-file simplex) is differential-tested against.  Same
+statuses, same objectives, and certified answers — on seeded random
+MILPs, on hand-built edge shapes, and on a real mapping window from the
+paper's table-1 cases.
 """
 
 import math
@@ -16,6 +16,8 @@ import pytest
 from repro.certify.lp import certify_lp
 from repro.ilp import CompiledModel, Model, SolveStatus, quicksum
 from repro.ilp.branch_bound import solve_branch_bound
+from repro.ilp.compiled import LpResult
+from repro.ilp.scipy_backend import solve_scipy
 
 
 def _random_milp(rng: random.Random) -> Model:
@@ -49,16 +51,18 @@ class TestRandomizedEquivalence:
         rng = random.Random(20150608)
         for _ in range(40):
             model = _random_milp(rng)
-            sparse = solve_branch_bound(model, engine="sparse")
-            dense = solve_branch_bound(model, engine="dense")
-            assert sparse.status is dense.status is SolveStatus.OPTIMAL
+            sparse = solve_branch_bound(model)
+            highs = solve_scipy(model)
+            assert sparse.status is highs.status is SolveStatus.OPTIMAL
             assert sparse.objective == pytest.approx(
-                dense.objective, abs=1e-6
+                highs.objective, abs=1e-6
             )
             assert model.check_solution(sparse.values) == []
-            assert model.check_solution(dense.values) == []
+            assert model.check_solution(highs.values) == []
 
     def test_lp_duals_certify_on_both_engines(self):
+        from scipy.optimize import linprog
+
         rng = np.random.default_rng(7)
         n, m = 6, 4
         c = rng.uniform(-5.0, 5.0, size=n)
@@ -67,23 +71,31 @@ class TestRandomizedEquivalence:
         a_eq = np.zeros((0, n))
         b_eq = np.zeros(0)
         bounds = [(-1.0, 3.0)] * n
-        results = {}
-        for engine in ("sparse", "dense"):
-            compiled = CompiledModel(
-                c, a_ub, b_ub, a_eq, b_eq, engine=engine
-            )
-            res = compiled.solve(bounds, want_duals=True)
-            assert res.status is SolveStatus.OPTIMAL
-            cert = certify_lp(res, c, a_ub, b_ub, a_eq, b_eq, bounds)
-            assert cert.ok, [str(v) for v in cert.violations]
-            results[engine] = res.objective
-        assert results["sparse"] == pytest.approx(
-            results["dense"], abs=1e-9
+        res = CompiledModel(c, a_ub, b_ub, a_eq, b_eq).solve(
+            bounds, want_duals=True
         )
+        assert res.status is SolveStatus.OPTIMAL
+        cert = certify_lp(res, c, a_ub, b_ub, a_eq, b_eq, bounds)
+        assert cert.ok, [str(v) for v in cert.violations]
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        assert ref.status == 0
+        assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+        # HiGHS marginals use the same sign convention (<= 0 on the
+        # inequality rows of a minimization), so they certify too.
+        highs = LpResult(
+            SolveStatus.OPTIMAL, np.asarray(ref.x), float(ref.fun),
+            duals=np.asarray(ref.ineqlin.marginals),
+        )
+        cert = certify_lp(highs, c, a_ub, b_ub, a_eq, b_eq, bounds)
+        assert cert.ok, [str(v) for v in cert.violations]
+
+
+#: The two MILP solvers under test, keyed by their LP engine.
+_SOLVERS = {"sparse": solve_branch_bound, "highs": solve_scipy}
 
 
 class TestStatusEquivalence:
-    @pytest.mark.parametrize("engine", ["sparse", "dense"])
+    @pytest.mark.parametrize("engine", sorted(_SOLVERS))
     def test_infeasible(self, engine):
         model = Model("infeasible")
         x = model.add_binary("x")
@@ -91,23 +103,24 @@ class TestStatusEquivalence:
         model.add_constr(x + y <= 1)
         model.add_constr(x + y >= 2)
         model.minimize(x)
-        sol = solve_branch_bound(model, engine=engine)
+        sol = _SOLVERS[engine](model)
         assert sol.status is SolveStatus.INFEASIBLE
 
-    @pytest.mark.parametrize("engine", ["sparse", "dense"])
+    @pytest.mark.parametrize("engine", sorted(_SOLVERS))
     def test_unbounded(self, engine):
         model = Model("unbounded")
         x = model.add_continuous("x", lb=0.0, ub=math.inf)
         model.add_constr(x >= 1)
         model.maximize(x)
-        sol = solve_branch_bound(model, engine=engine)
+        sol = _SOLVERS[engine](model)
         assert sol.status is SolveStatus.UNBOUNDED
 
 
 class TestMappingWindowEquivalence:
     def test_pcr_window_same_certified_load(self):
         # A real table-1 sub-model (first two PCR tasks on a coarse
-        # anchor grid): both engines must certify the same pump load.
+        # anchor grid): the certified branch & bound and HiGHS must
+        # find the same pump load.
         from repro.assays import get_case, schedule_for
         from repro.core.mapping_model import MappingModelBuilder, MappingSpec
         from repro.core.tasks import build_tasks
@@ -118,11 +131,8 @@ class TestMappingWindowEquivalence:
         tasks = build_tasks(graph, schedule)
         spec = MappingSpec(grid=case.grid, tasks=tasks[:2], anchor_stride=3)
         built = MappingModelBuilder(spec).build()
-        sparse = built.model.solve(
-            backend="branch_bound", lp_engine="simplex", engine="sparse"
-        )
-        dense = built.model.solve(
-            backend="branch_bound", lp_engine="simplex", engine="dense"
-        )
-        assert sparse.status is dense.status is SolveStatus.OPTIMAL
-        assert sparse.objective == pytest.approx(dense.objective, abs=1e-6)
+        sparse = built.model.solve(backend="branch_bound", certify="strict")
+        highs = built.model.solve(backend="scipy")
+        assert sparse.status is highs.status is SolveStatus.OPTIMAL
+        assert sparse.objective == pytest.approx(highs.objective, abs=1e-6)
+        assert sparse.stats["lp_cert_failed"] == 0

@@ -25,7 +25,7 @@ def test_scipy_solve_error_falls_back_to_branch_bound():
     solution = _model().solve(backend="scipy")
     assert solution.status is SolveStatus.OPTIMAL
     assert _model().check_solution(solution.values) == []
-    reference = _model().solve(backend="branch_bound", lp_engine="simplex")
+    reference = _model().solve(backend="branch_bound")
     assert abs(solution.objective - reference.objective) < 1e-6
     # When HiGHS solves this model cleanly (a future scipy fix), the
     # fallback simply stops firing — only pin the stats when it did.

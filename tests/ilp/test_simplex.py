@@ -1,11 +1,11 @@
-"""Unit tests for the from-scratch simplex LP solver."""
+"""Unit tests for the from-scratch simplex LP engine (cold solves)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.ilp.simplex import solve_lp
+from repro.ilp.compiled import CompiledModel
 from repro.ilp.solution import SolveStatus
 
 INF = math.inf
@@ -19,7 +19,7 @@ def lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), bounds=None):
     b_ub = np.array(b_ub, dtype=float)
     b_eq = np.array(b_eq, dtype=float)
     bounds = bounds or [(0.0, INF)] * n
-    return solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    return CompiledModel(c, a_ub, b_ub, a_eq, b_eq).solve(bounds)
 
 
 class TestBasicLPs:

@@ -10,8 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ilp.simplex import solve_lp
+from repro.ilp.compiled import CompiledModel
 from repro.ilp.solution import SolveStatus
+
+
+def solve_cold(c, a_ub, b_ub, a_eq, b_eq, bounds):
+    return CompiledModel(c, a_ub, b_ub, a_eq, b_eq).solve(bounds)
 
 
 @st.composite
@@ -50,7 +54,7 @@ def test_simplex_agrees_with_highs(problem):
     from scipy.optimize import linprog
 
     c, a_ub, b_ub, a_eq, b_eq, bounds = problem
-    mine = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    mine = solve_cold(c, a_ub, b_ub, a_eq, b_eq, bounds)
     ref = linprog(
         c,
         A_ub=a_ub if a_ub.size else None,
@@ -80,8 +84,8 @@ def test_simplex_agrees_with_highs(problem):
 @given(random_lp())
 def test_simplex_deterministic(problem):
     c, a_ub, b_ub, a_eq, b_eq, bounds = problem
-    first = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
-    second = solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    first = solve_cold(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    second = solve_cold(c, a_ub, b_ub, a_eq, b_eq, bounds)
     assert first.status is second.status
     if first.status is SolveStatus.OPTIMAL:
         assert first.objective == second.objective

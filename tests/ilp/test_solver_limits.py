@@ -18,10 +18,9 @@ import math
 import numpy as np
 import pytest
 
-import repro.ilp.branch_bound as bb
 from repro.ilp import Model, SolveStatus, quicksum
 from repro.ilp.branch_bound import solve_branch_bound
-from repro.ilp.simplex import _EPS, LpResult, _simplex_core, solve_lp
+from repro.ilp.compiled import _EPS, CompiledModel, LpResult
 
 
 def knapsack_model():
@@ -38,15 +37,14 @@ class TestLpIterationCap:
     def test_capped_lp_reports_no_solution(self):
         # A cap of 1 pivot cannot finish even phase 1 of the knapsack
         # relaxation; the LP must say "unknown", not "infeasible".
-        res = solve_lp(
+        compiled = CompiledModel(
             np.array([-1.0, -1.0]),
             np.array([[1.0, 1.0]]),
             np.array([2.0]),
             np.zeros((0, 2)),
             np.zeros(0),
-            [(0.0, 1.0), (0.0, 1.0)],
-            max_iterations=1,
         )
+        res = compiled.solve([(0.0, 1.0), (0.0, 1.0)], max_iterations=1)
         assert res.status is SolveStatus.NO_SOLUTION
 
     def test_capped_relaxations_do_not_fake_infeasibility(self):
@@ -70,7 +68,7 @@ class TestUnboundedBelowRoot:
         # one: OPTIMAL-fractional at the root, UNBOUNDED below it.
         calls = {"n": 0}
 
-        def flaky_relaxation(c, a_ub, b_ub, a_eq, b_eq, bounds, *args, **kwargs):
+        def flaky_relaxation(self, bounds, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 return LpResult(
@@ -78,7 +76,7 @@ class TestUnboundedBelowRoot:
                 )
             return LpResult(SolveStatus.UNBOUNDED)
 
-        monkeypatch.setattr(bb, "_solve_relaxation", flaky_relaxation)
+        monkeypatch.setattr(CompiledModel, "solve", flaky_relaxation)
         m = Model()
         x = m.add_integer("x", ub=10)
         m.add_constr(2 * x <= 3)
@@ -102,40 +100,41 @@ class TestUnboundedBelowRoot:
 
 class TestRatioTestEpsilonBand:
     def test_chained_near_ties_keep_basis_feasible(self):
-        # Six rows whose ratios ascend by 0.9e-9 — each within _EPS of
-        # its predecessor but the last 4.5e-9 above the true minimum —
-        # while basis indices descend, so a tie-break that *updates* the
-        # best ratio walks all the way up the chain and pivots on the
-        # largest ratio, driving row 0 negative beyond _EPS.  The fix
-        # takes the exact minimum ratio and applies Bland's smallest-
-        # basis-index tie-break only inside the band around it.
+        # max x over six rows x <= b_i whose right-hand sides descend by
+        # 0.9e-9 — each within _EPS of its neighbour, the first 4.5e-9
+        # above the true minimum — while the slack indices seeding the
+        # basis ascend.  A ratio test that *updates* its best ratio on
+        # every near-tie walks the whole chain and pivots on the largest
+        # ratio, pushing the last row's slack negative beyond _EPS.  The
+        # primal takes the exact minimum ratio and applies Bland's
+        # smallest-basis-index tie-break only inside the band around it.
         m = 6
-        a = np.zeros((m, 1 + m))
-        a[:, 0] = 1.0  # the entering column
-        for i in range(m):
-            a[i, m - i] = 1.0  # anti-diagonal identity: basic columns
-        basis = [m - i for i in range(m)]  # [6, 5, 4, 3, 2, 1]
-        b = np.array([1.0 + i * 0.9e-9 for i in range(m)])
-        c = np.zeros(1 + m)
-        c[0] = -1.0  # column 0 prices in immediately
-        status, _, iterations = _simplex_core(a, b, c, basis, 100)
-        assert status is SolveStatus.OPTIMAL
-        assert iterations >= 1
-        # The invariant the seed code violated: every basic value stays
-        # within _EPS of feasibility after the pivot.
-        assert np.all(b >= -_EPS), f"negative basic values: {b.min()}"
+        b = np.array([1.0 + (m - 1 - i) * 0.9e-9 for i in range(m)])
+        compiled = CompiledModel(
+            np.array([-1.0]), np.ones((m, 1)), b, np.zeros((0, 1)), np.zeros(0)
+        )
+        res = compiled.solve([(0.0, math.inf)])
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.iterations >= 1
+        # The invariant the seed code violated: every row (i.e. every
+        # basic slack) stays within _EPS of feasibility after the pivot.
+        assert np.all(res.x[0] <= b + _EPS), f"row overrun: {res.x[0] - b.min()}"
 
     def test_strictly_smaller_ratio_always_wins(self):
         # A ratio well below the incumbent (not a near-tie) must be
-        # taken no matter the basis ordering.
-        a = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        basis = [2, 1]  # larger basis index owns the smaller ratio
-        b = np.array([5.0, 1.0])
-        c = np.array([-1.0, 0.0, 0.0])
-        status, objective, _ = _simplex_core(a, b, c, basis, 100)
-        assert status is SolveStatus.OPTIMAL
-        assert objective == pytest.approx(-1.0)
-        assert np.all(b >= -_EPS)
+        # taken no matter the basis ordering: the larger slack index
+        # owns the smaller ratio.
+        compiled = CompiledModel(
+            np.array([-1.0]),
+            np.array([[1.0], [1.0]]),
+            np.array([5.0, 1.0]),
+            np.zeros((0, 1)),
+            np.zeros(0),
+        )
+        res = compiled.solve([(0.0, math.inf)])
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(-1.0)
+        assert res.x[0] <= 1.0 + _EPS
 
 
 class TestBackendsAgreeOnWindowedMapping:
@@ -154,7 +153,7 @@ class TestBackendsAgreeOnWindowedMapping:
         spec = MappingSpec(grid=case.grid, tasks=tasks[:2], anchor_stride=3)
         built = MappingModelBuilder(spec).build()
 
-        mine = built.model.solve(backend="branch_bound", lp_engine="simplex")
+        mine = built.model.solve(backend="branch_bound")
         highs = built.model.solve(backend="scipy")
         assert mine.status is SolveStatus.OPTIMAL
         assert highs.status is SolveStatus.OPTIMAL

