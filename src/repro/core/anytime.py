@@ -8,43 +8,40 @@ lanes against the same deadline:
   feasible mapping in milliseconds, then
   :class:`~repro.core.lns.LargeNeighborhoodSearch` keeps improving it
   round by round;
-* the **exact lane** (a daemon thread): the monolithic branch & bound
-  on the very same :class:`~repro.core.mapping_model.BuiltMapping`
-  (the rolling-horizon mapper beyond ``ilp_task_limit`` tasks).
+* the **exact lane** (a non-daemon worker thread on a private
+  :class:`~repro.resilience.DegradationLadder`): the monolithic branch
+  & bound on the very same
+  :class:`~repro.core.mapping_model.BuiltMapping` (a supervised
+  :class:`ILPMapper` solve in crash-safe mode, the rolling-horizon
+  :class:`WindowedILPMapper` beyond ``ilp_task_limit`` tasks).
 
-The lanes meet at an :class:`~repro.ilp.incumbent.IncumbentPool`.
-Every heuristic incumbent is *completed* into a full variable
-assignment (:func:`~repro.core.mapping_model.complete_solution`),
-replay-checked against the model, **certified** by
+In the in-process monolithic race the lanes meet at an
+:class:`~repro.ilp.incumbent.IncumbentPool`.  Every heuristic incumbent
+is *completed* into a full variable assignment
+(:func:`~repro.core.mapping_model.complete_solution`), replay-checked
+against the model, **certified** by
 :func:`repro.certify.certify_assignment`, and only then offered to the
 pool — the branch & bound adopts it as an upper bound (pruning, and
 stopping instantly when the offer matches the proven root bound), never
-trusting it blindly.  When the budget expires the orchestrator adopts
-whichever lane holds the best certified objective; ties go to the exact
+trusting it blindly.  Elsewhere the heuristic lane only tracks its
+incumbents by ledger peak.  When the budget expires the orchestrator
+adopts whichever lane holds the best objective; ties go to the exact
 lane, whose solution also carries an optimality status.  A heuristic
 win engages the ``anytime_heuristic`` resilience rung: the answer is
-certified feasible with a known objective, just not proven optimal.
-
-Injection requires the pure-python ``branch_bound`` backend (the HiGHS
-wrapper exposes no incumbent callback); with ``backend="auto"`` the
-monolithic lane therefore picks ``branch_bound`` and the windowed lane
-keeps the HiGHS default.  ``heuristic=False`` degenerates to the exact
-lane alone, run synchronously — byte-identical to :class:`ILPMapper` —
-which the equivalence tests pin.
+feasible with a known objective, just not proven optimal.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.architecture.device import Placement
 from repro.errors import SynthesisError
 from repro.ilp.incumbent import IncumbentPool
-from repro.ilp.solution import SolveStatus
 from repro.obs import TELEMETRY
 from repro.resilience import Deadline, DegradationLadder
 from repro.core.lns import LargeNeighborhoodSearch
@@ -66,13 +63,18 @@ from repro.core.tasks import MappingTask
 #: Seconds granted to the exact thread after the race ends to notice
 #: its own time limit and return (it is abandoned past this).  The
 #: solvers poll their deadline inside the LP pivot loops, so the lane
-#: lands within milliseconds of its limit — the grace only covers
-#: scheduling jitter.
+#: usually lands within milliseconds of its limit; the branch & bound's
+#: root cut separation does not poll and can overrun the grace.
 _JOIN_GRACE = 0.25
 
-#: LNS round cap when neither a deadline nor ``time_limit`` bounds the
-#: race (the exact lane then runs to optimality anyway).
+#: LNS round cap when no deadline bounds the race (the exact lane then
+#: runs to optimality anyway).
 _UNBOUNDED_LNS_ROUNDS = 64
+
+#: Consecutive non-improving LNS rounds before the heuristic lane
+#: stops.  Without it the lane spins against the exact thread for the
+#: GIL; stalling out hands the exact lane the whole interpreter.
+_LNS_STALL_LIMIT = 400
 
 
 def _used_overlaps(
@@ -103,44 +105,26 @@ def _used_overlaps(
 class AnytimeMapper(BaseMapper):
     """Race a heuristic improvement loop against the exact ILP.
 
-    Parameters mirror the mappers it orchestrates: ``backend`` picks
-    the exact lane's solver (``"auto"`` = ``branch_bound`` for the
-    monolithic model so incumbents can be injected, the HiGHS default
-    for windowed), ``ilp_task_limit``/``window_size`` are the same
+    ``ilp_task_limit``/``window_size`` are the same
     monolithic-vs-windowed switch :class:`SynthesisConfig` uses, and
-    ``seed`` drives the LNS destroy sets.  ``heuristic=False`` disables
-    the heuristic lane entirely (exact-only, synchronous).
+    ``seed`` drives the LNS destroy sets.  The exact lane's solver is
+    fixed by the scope: the pure-python branch & bound for the
+    monolithic model (the HiGHS wrapper exposes no incumbent callback),
+    the windowed mapper's HiGHS default beyond ``ilp_task_limit``.
     """
 
     name = "anytime"
 
     def __init__(
         self,
-        backend: str = "auto",
         *,
-        heuristic: bool = True,
         seed: int = 0,
         ilp_task_limit: int = 8,
         window_size: int = 5,
-        time_limit: Optional[float] = None,
-        lns_max_rounds: Optional[int] = None,
-        lns_stall_limit: Optional[int] = 400,
-        **solver_kwargs,
     ) -> None:
-        self.backend = backend
-        self.heuristic = heuristic
         self.seed = seed
         self.ilp_task_limit = ilp_task_limit
         self.window_size = window_size
-        self.time_limit = time_limit
-        self.lns_max_rounds = lns_max_rounds
-        # Without a stall cap the heuristic lane spins non-improving
-        # rounds against the exact thread for the GIL; stalling out
-        # instead hands the exact lane the whole interpreter.
-        self.lns_stall_limit = lns_stall_limit
-        self.solver_kwargs = solver_kwargs
-
-    # -- entry -----------------------------------------------------------
 
     def map_tasks(
         self,
@@ -149,17 +133,17 @@ class AnytimeMapper(BaseMapper):
         deadline: Optional[Deadline] = None,
         ladder: Optional[DegradationLadder] = None,
     ) -> MappingResult:
-        monolithic = len(spec.tasks) <= self.ilp_task_limit
-        if monolithic:
+        if len(spec.tasks) <= self.ilp_task_limit:
             return self._race_monolithic(spec, deadline, ladder)
         return self._race_windowed(spec, deadline, ladder)
 
-    def _exact_backend(self, monolithic: bool) -> str:
-        if self.backend != "auto":
-            return self.backend
-        return "branch_bound" if monolithic else "scipy"
+    def _crash_safe(self, mapper: BaseMapper) -> BaseMapper:
+        """Wire this mapper's journal and supervisor into an exact lane."""
+        mapper.journal = self.journal
+        mapper.supervisor = self.supervisor
+        return mapper
 
-    # -- the monolithic race ---------------------------------------------
+    # -- the two scopes --------------------------------------------------
 
     def _race_monolithic(
         self,
@@ -168,37 +152,12 @@ class AnytimeMapper(BaseMapper):
         ladder: Optional[DegradationLadder],
     ) -> MappingResult:
         start = time.monotonic()
-        backend = self._exact_backend(monolithic=True)
-        limit = self.time_limit
-        if deadline is not None:
-            limit = deadline.limit(limit)
-        ordered = sorted(spec.tasks, key=lambda t: (t.start, t.name))
-        supervised = self.supervisor is not None
-
-        if not self.heuristic:
-            if supervised or self.journal is not None:
-                # Crash-safe exact-only: delegate to the (supervised,
-                # journaled) exact mapper — same model, same answer.
-                result = self._exact_mapper(limit).map_tasks(
-                    spec, deadline=deadline, ladder=ladder
-                )
-                result.mapper = self.name
-                result.stats.setdefault("race_winner_heuristic", 0.0)
-                result.wall_time = time.monotonic() - start
-                return result
-            # Exact-only mode: synchronous, no pool — byte-identical to
-            # ILPMapper on the same spec (the equivalence tests pin it).
-            built = MappingModelBuilder(spec).build()
-            return self._exact_only(spec, built, backend, limit, start)
-
         # 1. First feasible mapping before anything else — the packer
         #    answers in milliseconds; even the model build is slower.
         try:
             greedy = GreedyMapper().map_tasks(spec, deadline=deadline)
         except SynthesisError:
-            # No heuristic start at all — the exact lane alone decides.
-            built = MappingModelBuilder(spec).build()
-            return self._exact_only(spec, built, backend, limit, start)
+            greedy = None  # no heuristic start: the exact lane decides
         first_feasible = time.monotonic() - start
 
         built = MappingModelBuilder(spec).build()
@@ -207,7 +166,7 @@ class AnytimeMapper(BaseMapper):
         # Incumbent injection needs an in-process branch & bound; a
         # supervised exact lane solves in a subprocess, so the pool
         # degrades to a scoreboard (offers are noted, not injected).
-        injectable = backend == "branch_bound" and not supervised
+        injectable = self.supervisor is None
         stats: Dict[str, float] = {
             "offers_made": 0.0,
             "offers_incomplete": 0.0,
@@ -216,7 +175,7 @@ class AnytimeMapper(BaseMapper):
             "offers_certified": 0.0,
             "injectable": float(injectable),
         }
-        best_certified: Dict[str, object] = {}
+        best: Dict[str, object] = {}
 
         # Deferred import: repro.certify pulls in the audit machinery,
         # which imports repro.core back.
@@ -238,7 +197,6 @@ class AnytimeMapper(BaseMapper):
                 return
             stats["offers_certified"] += 1
             objective = model.objective.evaluate(values)
-            peak = int(round(values[built.w]))
             if injectable:
                 x = np.zeros(model.num_vars)
                 for var, value in values.items():
@@ -246,312 +204,42 @@ class AnytimeMapper(BaseMapper):
                 pool.offer(x, objective, source=source)
             else:
                 pool.note("offer", source, objective)
-            if not best_certified or peak < best_certified["peak"]:
-                best_certified.update(
-                    placements=dict(placements),
-                    peak=peak,
-                    objective=objective,
-                    seconds=time.monotonic() - start,
-                )
+            _keep_best(best, placements, int(round(values[built.w])), start)
 
-        # The packer's incumbent goes in before the exact lane even
-        # starts: the branch & bound sees it at the root.
-        stats["first_feasible_seconds"] = first_feasible
-        placements = dict(greedy.placements)
-        offer(placements, "packer")
+        # 2. The packer's incumbent goes in before the exact lane even
+        #    starts: the branch & bound sees it at the root.
+        if greedy is not None:
+            stats["first_feasible_seconds"] = first_feasible
+            placements = dict(greedy.placements)
+            offer(placements, "packer")
 
-        # 2. Exact lane in a worker thread, polling the pool per node.
-        slot: Dict[str, object] = {}
-        done = threading.Event()
-        solver_kwargs = dict(self.solver_kwargs)
-        if injectable:
-            solver_kwargs["incumbent"] = pool
+        def solve_exact(lane_ladder: DegradationLadder) -> MappingResult:
+            if not injectable:
+                # The watched-subprocess path (DESIGN.md §14): the lane
+                # only dispatches and waits; kills/retries happen in
+                # the supervisor.
+                return self._crash_safe(
+                    ILPMapper(backend="branch_bound")
+                ).map_tasks(spec, deadline=deadline, ladder=lane_ladder)
+            # The limit is taken *now*: the packer, the model build and
+            # the first certificate already spent part of the budget.
+            limit = deadline.limit() if deadline is not None else None
+            return ILPMapper(
+                backend="branch_bound", incumbent=pool
+            ).solve_built(built, limit)
 
-        # The lane's limit is re-taken *now*: the packer, the model
-        # build and the first certificate already spent part of the
-        # budget, and a limit measured from the race start would let
-        # the solver run past the mapping deadline by that much.
-        lane_start = time.monotonic()
-        lane_limit = limit
-        if deadline is not None:
-            lane_limit = deadline.limit(self.time_limit)
-        elif limit is not None:
-            lane_limit = max(0.0, limit - (lane_start - start))
+        def heuristic(should_stop: Callable[[], bool]) -> None:
+            # 3. LNS rounds until the budget runs out or the exact lane
+            #    is done (its answer dominates every further round).
+            if greedy is not None:
+                stats.update(self._improve(
+                    spec, placements, deadline, should_stop,
+                    lambda snapshot, peak: offer(snapshot, "lns"),
+                ))
 
-        def exact_lane() -> None:
-            try:
-                if supervised:
-                    # The watched-subprocess path (DESIGN.md §14): the
-                    # thread only dispatches and waits; kills/retries
-                    # happen in the supervisor.
-                    slot["result"] = self._exact_mapper(
-                        lane_limit
-                    ).map_tasks(spec, deadline=deadline)
-                else:
-                    slot["solution"] = model.solve(
-                        backend=backend, time_limit=lane_limit,
-                        **solver_kwargs
-                    )
-            except Exception as exc:  # noqa: BLE001 - reported via slot
-                slot["error"] = exc
-            finally:
-                done.set()
-
-        # Non-daemon on purpose: the lane is deadline-bounded, and a
-        # daemon thread still inside a solver at interpreter shutdown
-        # can abort the whole process.
-        thread = threading.Thread(target=exact_lane, name="anytime-exact")
-        thread.start()
-
-        # 3. LNS rounds until the budget runs out or the exact lane is
-        #    done (its answer dominates every further heuristic round).
-        max_rounds = self.lns_max_rounds
-        if max_rounds is None and deadline is None and limit is None:
-            max_rounds = _UNBOUNDED_LNS_ROUNDS
-        lns = LargeNeighborhoodSearch(spec, seed=self.seed)
-        lns_stats = lns.run(
-            placements,
-            deadline=deadline,
-            max_rounds=max_rounds,
-            stall_limit=self.lns_stall_limit,
-            should_stop=done.is_set,
-            on_improve=lambda snapshot, peak: offer(snapshot, "lns"),
-        )
-        stats.update(lns_stats)
-
-        # 4. Collect the exact lane.
-        timeout = None
-        if deadline is not None:
-            timeout = deadline.remaining() + _JOIN_GRACE
-        elif lane_limit is not None:
-            timeout = (
-                max(0.0, lane_limit - (time.monotonic() - lane_start))
-                + _JOIN_GRACE
-            )
-        thread.join(timeout)
-        stats["exact_abandoned"] = float(thread.is_alive())
-        if supervised:
-            stats["supervised"] = 1.0
-            exact_result = (
-                slot.get("result") if not thread.is_alive() else None
-            )
-            return self._pick_winner_result(
-                spec, ordered, stats, pool, best_certified,
-                exact_result, ladder, start,
-            )
-        solution = slot.get("solution")
-        exact_ok = (
-            solution is not None
-            and not thread.is_alive()
-            and solution.status.has_solution
-        )
-        return self._pick_winner(
-            spec, built, ordered, stats, pool, best_certified,
-            solution if exact_ok else None, ladder, start,
-        )
-
-    def _exact_mapper(self, limit: Optional[float]) -> ILPMapper:
-        """The monolithic exact lane as a crash-safe :class:`ILPMapper`."""
-        mapper = ILPMapper(
-            backend=self._exact_backend(monolithic=True),
-            time_limit=limit,
-            **self.solver_kwargs,
-        )
-        mapper.journal = self.journal
-        mapper.supervisor = self.supervisor
-        return mapper
-
-    def _pick_winner_result(
-        self,
-        spec: MappingSpec,
-        ordered: List[MappingTask],
-        stats: Dict[str, float],
-        pool: IncumbentPool,
-        best_certified: Dict[str, object],
-        exact: Optional[MappingResult],
-        ladder: Optional[DegradationLadder],
-        start: float,
-    ) -> MappingResult:
-        """The supervised-lane twin of :meth:`_pick_winner`.
-
-        The exact lane returned a :class:`MappingResult` (solved in a
-        watched subprocess) instead of a raw solver solution; the
-        decision rule is identical — best certified objective wins,
-        ties to the exact lane.
-        """
-        exact_peak = exact.objective if exact is not None else None
-        if exact is not None:
-            stats["exact_objective"] = float(exact_peak)
-        if best_certified:
-            stats["heuristic_objective"] = float(best_certified["peak"])
-            stats["seconds_to_best_certified"] = float(
-                best_certified["seconds"]
-            )
+        exact, error = _run_lanes(solve_exact, heuristic, deadline, ladder, stats)
         stats["race_timeline"] = pool.timeline_snapshot()
-        heuristic_wins = best_certified and (
-            exact_peak is None or best_certified["peak"] < exact_peak
-        )
-        if exact_peak is None and not best_certified:
-            raise SynthesisError(
-                "anytime race produced no solution: the supervised exact "
-                "lane returned nothing inside the budget and no "
-                "heuristic incumbent certified"
-            )
-        stats["race_winner_heuristic"] = float(bool(heuristic_wins))
-        wall = time.monotonic() - start
-        if TELEMETRY.enabled:
-            TELEMETRY.count("anytime.races")
-            TELEMETRY.count(
-                "anytime.lns_rounds", int(stats.get("lns_rounds", 0))
-            )
-            TELEMETRY.count(
-                "anytime.race_winner_heuristic"
-                if heuristic_wins
-                else "anytime.race_winner_exact"
-            )
-        if heuristic_wins:
-            if ladder is not None:
-                ladder.engage(
-                    "mapping",
-                    DegradationLadder.ANYTIME_HEURISTIC,
-                    f"certified heuristic peak {best_certified['peak']}"
-                    + (
-                        f" beat exact {exact_peak}"
-                        if exact_peak is not None
-                        else " with no exact answer in budget"
-                    ),
-                )
-            placements = dict(best_certified["placements"])
-            return MappingResult(
-                placements=placements,
-                objective=int(best_certified["peak"]),
-                mapper=self.name,
-                used_overlaps=_used_overlaps(spec, ordered, placements),
-                wall_time=wall,
-                optimal=False,
-                stats=stats,
-            )
-        merged = dict(exact.stats)
-        merged.update(stats)
-        return MappingResult(
-            placements=exact.placements,
-            objective=exact.objective,
-            mapper=self.name,
-            used_overlaps=exact.used_overlaps,
-            wall_time=wall,
-            optimal=exact.optimal,
-            stats=merged,
-        )
-
-    def _exact_only(self, spec, built, backend, limit, start) -> MappingResult:
-        solution = built.model.solve(
-            backend=backend, time_limit=limit, **self.solver_kwargs
-        )
-        if not solution.status.has_solution:
-            raise SynthesisError(
-                f"dynamic-device mapping ILP is {solution.status.value} "
-                f"({built.model!r})"
-            )
-        wall = time.monotonic() - start
-        stats: Dict[str, float] = {
-            "solve_seconds": wall,
-            "solver_nodes": float(solution.nodes_explored),
-            "race_winner_heuristic": 0.0,
-        }
-        for key, value in solution.stats.items():
-            stats[f"solver_{key}"] = float(value)
-        if TELEMETRY.enabled:
-            TELEMETRY.count("anytime.races")
-        return MappingResult(
-            placements=built.extract_placements(solution),
-            objective=int(round(solution.value(built.w))),
-            mapper=self.name,
-            used_overlaps=built.extract_overlaps(solution),
-            wall_time=wall,
-            optimal=solution.status is SolveStatus.OPTIMAL,
-            stats=stats,
-        )
-
-    def _pick_winner(
-        self,
-        spec: MappingSpec,
-        built,
-        ordered: List[MappingTask],
-        stats: Dict[str, float],
-        pool: IncumbentPool,
-        best_certified: Dict[str, object],
-        solution,
-        ladder: Optional[DegradationLadder],
-        start: float,
-    ) -> MappingResult:
-        """Adopt the best certified objective; ties go to the exact lane."""
-        exact_peak = None
-        if solution is not None:
-            exact_peak = int(round(solution.value(built.w)))
-            stats["exact_objective"] = float(exact_peak)
-            stats["solver_nodes"] = float(solution.nodes_explored)
-            for key, value in solution.stats.items():
-                stats[f"solver_{key}"] = float(value)
-        if best_certified:
-            stats["heuristic_objective"] = float(best_certified["peak"])
-            stats["seconds_to_best_certified"] = float(
-                best_certified["seconds"]
-            )
-        stats["race_timeline"] = pool.timeline_snapshot()
-
-        heuristic_wins = best_certified and (
-            exact_peak is None or best_certified["peak"] < exact_peak
-        )
-        if exact_peak is None and not best_certified:
-            raise SynthesisError(
-                "anytime race produced no solution: the exact lane "
-                "returned nothing inside the budget and no heuristic "
-                "incumbent certified"
-            )
-        stats["race_winner_heuristic"] = float(bool(heuristic_wins))
-        wall = time.monotonic() - start
-        if TELEMETRY.enabled:
-            TELEMETRY.count("anytime.races")
-            TELEMETRY.count(
-                "anytime.lns_rounds", int(stats.get("lns_rounds", 0))
-            )
-            if heuristic_wins:
-                TELEMETRY.count("anytime.race_winner_heuristic")
-            else:
-                TELEMETRY.count("anytime.race_winner_exact")
-        if heuristic_wins:
-            if ladder is not None:
-                ladder.engage(
-                    "mapping",
-                    DegradationLadder.ANYTIME_HEURISTIC,
-                    f"certified heuristic peak {best_certified['peak']}"
-                    + (
-                        f" beat exact {exact_peak}"
-                        if exact_peak is not None
-                        else " with no exact answer in budget"
-                    ),
-                )
-            placements = dict(best_certified["placements"])
-            return MappingResult(
-                placements=placements,
-                objective=int(best_certified["peak"]),
-                mapper=self.name,
-                used_overlaps=_used_overlaps(spec, ordered, placements),
-                wall_time=wall,
-                optimal=False,
-                stats=stats,
-            )
-        return MappingResult(
-            placements=built.extract_placements(solution),
-            objective=int(exact_peak),
-            mapper=self.name,
-            used_overlaps=built.extract_overlaps(solution),
-            wall_time=wall,
-            optimal=solution.status is SolveStatus.OPTIMAL,
-            stats=stats,
-        )
-
-    # -- the windowed race -----------------------------------------------
+        return self._adopt(spec, stats, best, exact, error, ladder, start)
 
     def _race_windowed(
         self,
@@ -563,100 +251,107 @@ class AnytimeMapper(BaseMapper):
 
         The monolithic model is out of reach here, so there is no
         completion/injection — the heuristic lane tracks its incumbents
-        by ledger peak and the race is decided on raw objectives.  The
-        windowed result keeps its own internal degradations; a
-        heuristic win engages ``anytime_heuristic`` exactly like the
-        monolithic race.
+        by ledger peak and the race is decided on raw objectives.
         """
         start = time.monotonic()
-        backend = self._exact_backend(monolithic=False)
-        ordered = sorted(spec.tasks, key=lambda t: (t.start, t.name))
-        exact_mapper = WindowedILPMapper(
-            window_size=self.window_size, backend=backend
+        exact_mapper = self._crash_safe(
+            WindowedILPMapper(window_size=self.window_size)
         )
-        # Crash-safety wiring rides along into every window solve.
-        exact_mapper.journal = self.journal
-        exact_mapper.supervisor = self.supervisor
-        if not self.heuristic:
-            return self._result_from_windowed(
-                exact_mapper.map_tasks(spec, deadline=deadline, ladder=ladder),
-                start,
-            )
-
         stats: Dict[str, float] = {"injectable": 0.0}
-        slot: Dict[str, object] = {}
-        done = threading.Event()
-        # The lane gets a private ladder so an abandoned thread cannot
-        # keep appending events to the run's report after we returned;
-        # its rungs merge into the real ladder once it finishes.
-        lane_ladder = DegradationLadder(deadline=deadline)
-
-        def exact_lane() -> None:
-            try:
-                slot["result"] = exact_mapper.map_tasks(
-                    spec, deadline=deadline, ladder=lane_ladder
-                )
-            except Exception as exc:  # noqa: BLE001 - reported via slot
-                slot["error"] = exc
-            finally:
-                done.set()
-
-        # Non-daemon on purpose: the lane is deadline-bounded, and a
-        # daemon thread still inside a solver at interpreter shutdown
-        # can abort the whole process.
-        thread = threading.Thread(target=exact_lane, name="anytime-exact")
-        thread.start()
-
         best: Dict[str, object] = {}
 
         def track(placements: Dict[str, Placement], peak: int) -> None:
-            if not best or peak < best["peak"]:
-                best.update(
-                    placements=dict(placements),
-                    peak=peak,
-                    seconds=time.monotonic() - start,
-                )
+            _keep_best(best, placements, peak, start)
 
-        try:
-            greedy = GreedyMapper().map_tasks(spec, deadline=deadline)
+        def solve_exact(lane_ladder: DegradationLadder) -> MappingResult:
+            return exact_mapper.map_tasks(
+                spec, deadline=deadline, ladder=lane_ladder
+            )
+
+        def heuristic(should_stop: Callable[[], bool]) -> None:
+            try:
+                greedy = GreedyMapper().map_tasks(spec, deadline=deadline)
+            except SynthesisError:
+                return  # heuristic lane dead: the exact lane decides
             stats["first_feasible_seconds"] = time.monotonic() - start
             placements = dict(greedy.placements)
             track(placements, greedy.objective)
-            max_rounds = self.lns_max_rounds
-            if max_rounds is None and deadline is None:
-                max_rounds = _UNBOUNDED_LNS_ROUNDS
-            lns = LargeNeighborhoodSearch(spec, seed=self.seed)
-            stats.update(lns.run(
-                placements,
-                deadline=deadline,
-                max_rounds=max_rounds,
-                stall_limit=self.lns_stall_limit,
-                should_stop=done.is_set,
-                on_improve=track,
+            stats.update(self._improve(
+                spec, placements, deadline, should_stop, track
             ))
-        except SynthesisError:
-            pass  # heuristic lane dead: the exact lane alone decides
 
-        timeout = None
-        if deadline is not None:
-            timeout = deadline.remaining() + _JOIN_GRACE
-        thread.join(timeout)
-        stats["exact_abandoned"] = float(thread.is_alive())
-        exact = slot.get("result") if not thread.is_alive() else None
-        if not thread.is_alive() and ladder is not None:
-            # Telemetry already counted when the lane engaged its rungs.
-            ladder.report.events.extend(lane_ladder.report.events)
+        exact, error = _run_lanes(solve_exact, heuristic, deadline, ladder, stats)
+        return self._adopt(spec, stats, best, exact, error, ladder, start)
 
-        wall = time.monotonic() - start
+    # -- shared by both scopes -------------------------------------------
+
+    def _improve(
+        self,
+        spec: MappingSpec,
+        placements: Dict[str, Placement],
+        deadline: Optional[Deadline],
+        should_stop: Callable[[], bool],
+        on_improve: Callable[[Dict[str, Placement], int], None],
+    ) -> Dict[str, float]:
+        """The LNS rounds of the heuristic lane; ``placements`` in place."""
+        return LargeNeighborhoodSearch(spec, seed=self.seed).run(
+            placements,
+            deadline=deadline,
+            max_rounds=_UNBOUNDED_LNS_ROUNDS if deadline is None else None,
+            stall_limit=_LNS_STALL_LIMIT,
+            should_stop=should_stop,
+            on_improve=on_improve,
+        )
+
+    def _adopt(
+        self,
+        spec: MappingSpec,
+        stats: Dict[str, float],
+        best: Dict[str, object],
+        exact: Optional[MappingResult],
+        error: Optional[Exception],
+        ladder: Optional[DegradationLadder],
+        start: float,
+    ) -> MappingResult:
+        """Adopt the best objective; ties go to the exact lane.
+
+        The exact lane's ``solver_*`` stats are kept whichever lane
+        wins.  With no answer from either lane the exact lane's own
+        error is re-raised, or a :class:`SynthesisError` when it had
+        none (abandoned at the deadline).
+        """
+        if exact is not None:
+            stats["exact_objective"] = float(exact.objective)
+            for key, value in exact.stats.items():
+                if key.startswith("solver_"):
+                    stats[key] = value
+        if best:
+            stats["heuristic_objective"] = float(best["peak"])
+            stats["seconds_to_best_certified"] = float(best["seconds"])
+        heuristic_wins = bool(best) and (
+            exact is None or best["peak"] < exact.objective
+        )
+        if exact is None and not heuristic_wins:
+            if error is not None:
+                raise error
+            raise SynthesisError(
+                "anytime race produced no solution: the exact lane "
+                "returned nothing inside the budget and no heuristic "
+                "incumbent was found"
+            )
+        stats["race_winner_heuristic"] = float(heuristic_wins)
         if TELEMETRY.enabled:
             TELEMETRY.count("anytime.races")
             TELEMETRY.count(
                 "anytime.lns_rounds", int(stats.get("lns_rounds", 0))
             )
-        if exact is not None and (not best or exact.objective <= best["peak"]):
-            if TELEMETRY.enabled:
-                TELEMETRY.count("anytime.race_winner_exact")
-            stats["race_winner_heuristic"] = 0.0
+            TELEMETRY.count(
+                "anytime.race_winner_heuristic"
+                if heuristic_wins
+                else "anytime.race_winner_exact"
+            )
+        wall = time.monotonic() - start
+        if not heuristic_wins:
             merged = dict(exact.stats)
             merged.update(stats)
             return MappingResult(
@@ -668,29 +363,18 @@ class AnytimeMapper(BaseMapper):
                 optimal=exact.optimal,
                 stats=merged,
             )
-        if not best:
-            error = slot.get("error")
-            if isinstance(error, Exception):
-                raise error
-            raise SynthesisError(
-                "anytime race produced no solution inside the budget"
-            )
-        if TELEMETRY.enabled:
-            TELEMETRY.count("anytime.race_winner_heuristic")
         if ladder is not None:
             ladder.engage(
                 "mapping",
                 DegradationLadder.ANYTIME_HEURISTIC,
                 f"heuristic peak {best['peak']}"
                 + (
-                    f" beat windowed {exact.objective}"
+                    f" beat exact {exact.objective}"
                     if exact is not None
                     else " with no exact answer in budget"
                 ),
             )
-        stats["race_winner_heuristic"] = 1.0
-        stats["heuristic_objective"] = float(best["peak"])
-        stats["seconds_to_best_certified"] = float(best["seconds"])
+        ordered = sorted(spec.tasks, key=lambda t: (t.start, t.name))
         placements = dict(best["placements"])
         return MappingResult(
             placements=placements,
@@ -702,8 +386,68 @@ class AnytimeMapper(BaseMapper):
             stats=stats,
         )
 
-    @staticmethod
-    def _result_from_windowed(result: MappingResult, start: float) -> MappingResult:
-        result.stats["race_winner_heuristic"] = 0.0
-        result.wall_time = time.monotonic() - start
-        return result
+
+def _keep_best(
+    best: Dict[str, object],
+    placements: Dict[str, Placement],
+    peak: int,
+    start: float,
+) -> None:
+    """Record ``placements`` in ``best`` when its peak is strictly lower."""
+    if not best or peak < best["peak"]:
+        best.update(
+            placements=dict(placements),
+            peak=peak,
+            seconds=time.monotonic() - start,
+        )
+
+
+def _run_lanes(
+    solve_exact: Callable[[DegradationLadder], MappingResult],
+    heuristic: Callable[[Callable[[], bool]], None],
+    deadline: Optional[Deadline],
+    ladder: Optional[DegradationLadder],
+    stats: Dict[str, float],
+) -> Tuple[Optional[MappingResult], Optional[Exception]]:
+    """Run the exact lane in its thread while ``heuristic`` runs here.
+
+    ``heuristic`` gets a stop predicate that turns true once the exact
+    lane is done.  The lane solves on a private ladder, and the rungs it
+    engaged up to the join merge into ``ladder`` whether or not it
+    finished: a lost worker or a shrunk window happened in this run, but
+    an abandoned thread must not keep appending to the run's report
+    after the race returned.  Returns the lane's result and error (both
+    None when abandoned).
+    """
+    slot: Dict[str, object] = {}
+    done = threading.Event()
+    lane_ladder = DegradationLadder(deadline=deadline)
+
+    def exact_lane() -> None:
+        try:
+            slot["result"] = solve_exact(lane_ladder)
+        except Exception as exc:  # noqa: BLE001 - reported via slot
+            slot["error"] = exc
+        finally:
+            done.set()
+
+    # Non-daemon on purpose: the lane is deadline-bounded, and a daemon
+    # thread still inside a solver at interpreter shutdown can abort the
+    # whole process.
+    thread = threading.Thread(target=exact_lane, name="anytime-exact")
+    thread.start()
+    heuristic(done.is_set)
+
+    timeout = None
+    if deadline is not None:
+        timeout = deadline.remaining() + _JOIN_GRACE
+    thread.join(timeout)
+    abandoned = thread.is_alive()
+    stats["exact_abandoned"] = float(abandoned)
+    if ladder is not None:
+        # A snapshot (the lane may still be running); telemetry already
+        # counted when the lane engaged its rungs.
+        ladder.report.events.extend(list(lane_ladder.report.events))
+    if abandoned:
+        return None, None
+    return slot.get("result"), slot.get("error")

@@ -322,7 +322,7 @@ class ILPMapper(BaseMapper):
         if self.supervisor is not None:
             result = self._map_supervised(spec, limit, deadline, ladder)
         else:
-            result = self._map_inline(spec, limit)
+            result = self.solve_built(MappingModelBuilder(spec).build(), limit)
         if self.journal is not None:
             self.journal.record(spec, result)
         return result
@@ -356,17 +356,26 @@ class ILPMapper(BaseMapper):
                 )
             if TELEMETRY.enabled:
                 TELEMETRY.count("supervisor.serial_fallbacks")
-            result = self._map_inline(spec, limit)
+            built = MappingModelBuilder(spec).build()
+            # The lost attempts, their backoff and the build spent
+            # budget: re-take the limit so the serial solve still ends
+            # at the deadline.
+            if deadline is not None:
+                limit = deadline.limit(self.time_limit)
+            result = self.solve_built(built, limit)
             result.stats["worker_serial"] = 1.0
             return result
         result.stats["supervised"] = 1.0
         return result
 
-    def _map_inline(
-        self, spec: MappingSpec, limit: Optional[float]
-    ) -> MappingResult:
+    def solve_built(self, built, limit: Optional[float]) -> MappingResult:
+        """Solve an already-built mapping model (no journal, in-process).
+
+        ``built`` is a :class:`~repro.core.mapping_model.BuiltMapping`;
+        the anytime race solves its shared model here, with the
+        incumbent pool riding in ``solver_kwargs``.
+        """
         start = time.monotonic()
-        built = MappingModelBuilder(spec).build()
         solution = built.model.solve(
             backend=self.backend,
             time_limit=limit,

@@ -272,7 +272,7 @@ class ReliabilitySynthesizer:
         try:
             return self._synthesize_stages(
                 graph, schedule, chip, tasks, storage_plan, mapper,
-                journal, deadline, mapping_deadline, routing_deadline,
+                deadline, mapping_deadline, routing_deadline,
                 ladder, report, start_time,
             )
         finally:
@@ -290,7 +290,6 @@ class ReliabilitySynthesizer:
         tasks: List[MappingTask],
         storage_plan: StoragePlan,
         mapper: BaseMapper,
-        journal: Optional[CheckpointJournal],
         deadline: Optional[Deadline],
         mapping_deadline: Optional[Deadline],
         routing_deadline: Optional[Deadline],
@@ -353,10 +352,6 @@ class ReliabilitySynthesizer:
                     f"and relaxed routing-convenient constraints: "
                     f"{relaxed_error}"
                 )
-
-        if journal is not None:
-            for key, value in journal.stats().items():
-                mapping.stats[f"checkpoint_{key}"] = value
 
         # L20 + evaluation: actuation accounting for both settings; the
         # non-actuated virtual valves simply never appear in the grids.

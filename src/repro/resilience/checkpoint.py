@@ -289,17 +289,6 @@ class CheckpointJournal:
 
     # -- lifecycle --------------------------------------------------------
 
-    def stats(self) -> Dict[str, float]:
-        """Counters for profile reports / ``SynthesisResult`` stats."""
-        return {
-            "records": float(len(self._records)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "rejected": float(self.rejected),
-            "appended": float(self.appended),
-            "corrupt": float(self.corrupt),
-        }
-
     def close(self) -> None:
         try:
             self._file.close()

@@ -1,11 +1,11 @@
 """The anytime mapper tier (DESIGN.md §13).
 
-Three contracts pinned here:
+Four contracts pinned here:
 
-* **equivalence** — with the heuristic lane disabled the anytime
-  mapper degenerates to the pure monolithic ILP, byte-identical
-  placements included; with the LNS budget merely exhausted the race
-  still ends at the exact lane's objective;
+* **equivalence** — with no deadline the race still ends at the exact
+  lane's proven objective;
+* **race invariants** — a monolithic race builds the mapping model
+  exactly once, and every race counts exactly one winner;
 * **the race** — first feasible in milliseconds, incumbents certified
   before injection, the solver sees them, a heuristic win engages the
   ``anytime_heuristic`` rung, and the race never returns a worse
@@ -33,6 +33,7 @@ from repro.core.mapping_model import (
 )
 from repro.core.tasks import build_tasks
 from repro.errors import DegradedResultWarning
+from repro.obs import TELEMETRY
 from repro.resilience import Deadline, DegradationLadder
 
 
@@ -58,39 +59,55 @@ def assert_model_valid(spec, placements):
 
 
 class TestEquivalence:
-    def test_exact_only_mode_is_byte_identical_to_ilp(self):
-        anytime = AnytimeMapper(
-            heuristic=False, backend="branch_bound"
-        ).map_tasks(spec_for("pcr", 2, 3))
-        ilp = ILPMapper(backend="branch_bound").map_tasks(
-            spec_for("pcr", 2, 3)
-        )
-        assert anytime.placements == ilp.placements
-        assert anytime.objective == ilp.objective
-        assert anytime.optimal and ilp.optimal
-        assert anytime.used_overlaps == ilp.used_overlaps
-        assert anytime.mapper == "anytime"
-
     def test_exhausted_lns_budget_matches_ilp_objective(self):
-        # Zero LNS rounds leaves only the packer incumbent; the bound
-        # it injects may reshape the search tree, so placements are not
+        # With no deadline the race caps LNS at a fixed round count and
+        # the exact lane runs to optimality; the incumbents it injects
+        # may reshape the search tree, so placements are not
         # byte-pinned here — the certified objective is.
-        anytime = AnytimeMapper(lns_max_rounds=0).map_tasks(
-            spec_for("pcr", 2, 3)
-        )
+        anytime = AnytimeMapper().map_tasks(spec_for("pcr", 2, 3))
         ilp = ILPMapper(backend="branch_bound").map_tasks(
             spec_for("pcr", 2, 3)
         )
         assert anytime.objective == ilp.objective
         assert anytime.optimal
 
-    def test_windowed_exact_only_delegates(self):
-        spec = spec_for("pcr")  # 8 tasks > limit of 4 below
-        result = AnytimeMapper(
-            heuristic=False, ilp_task_limit=4, window_size=3
-        ).map_tasks(spec)
-        assert result.placements  # every task placed
-        assert set(result.placements) == {t.name for t in spec.tasks}
+
+class TestRaceInvariants:
+    def test_monolithic_race_builds_the_model_once(self, monkeypatch):
+        builds = []
+        original = MappingModelBuilder.build
+
+        def counting_build(self):
+            builds.append(1)
+            return original(self)
+
+        monkeypatch.setattr(MappingModelBuilder, "build", counting_build)
+        AnytimeMapper(seed=1).map_tasks(
+            spec_for("pcr", 2, 3), deadline=Deadline(5.0)
+        )
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "n_tasks,stride,limit",
+        [(2, 3, 8), (None, 1, 4)],
+        ids=["monolithic", "windowed"],
+    )
+    def test_each_race_counts_one_winner(self, n_tasks, stride, limit):
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            AnytimeMapper(seed=1, ilp_task_limit=limit).map_tasks(
+                spec_for("pcr", n_tasks, stride), deadline=Deadline(2.0)
+            )
+            counters = TELEMETRY.snapshot()["counters"]
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        winners = counters.get("anytime.race_winner_exact", 0) + counters.get(
+            "anytime.race_winner_heuristic", 0
+        )
+        assert counters.get("anytime.races") == 1
+        assert winners == 1
 
 
 class TestRace:

@@ -58,13 +58,18 @@ class TestWorkerSites:
         assert result.resilience.count(DegradationLadder.WORKER_RETRY) >= 1
         assert_simulator_valid(result)
 
-    def test_every_attempt_lost_falls_back_to_serial(self):
+    @pytest.mark.parametrize("time_budget", [None, 3.0])
+    def test_every_attempt_lost_falls_back_to_serial(self, time_budget):
         # Enough planned crashes to exhaust all retries of the first
         # supervised solve: the mapper must re-solve in-process (the
-        # worker_serial rung), not fail the synthesis.
+        # worker_serial rung), not fail the synthesis.  With a budget
+        # the solve is the anytime race's exact lane, and the rung it
+        # engages must still reach the run's report.
         with FAULTS.inject({"worker.crash": 3}):
-            result = synthesize_tiny(supervised=True)
+            result = synthesize_tiny(supervised=True, time_budget=time_budget)
         assert result.resilience.count(DegradationLadder.WORKER_SERIAL) >= 1
+        if time_budget is not None:
+            assert result.metrics.mapper == "anytime"
         assert_simulator_valid(result)
 
     def test_unfaulted_supervised_run_is_clean(self):
