@@ -81,10 +81,7 @@ class ListScheduler:
         if cfg.detectors is not None:
             detectors = [_Resource(f"detector.{i}") for i in range(cfg.detectors)]
 
-        priorities = {
-            op.name: graph.critical_path_length(op.name)
-            for op in graph.operations()
-        }
+        priorities = graph.critical_path_lengths()
         order = {op.name: i for i, op in enumerate(graph.operations())}
 
         pending = graph.topological_order()

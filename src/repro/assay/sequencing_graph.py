@@ -140,11 +140,11 @@ class SequencingGraph:
             raise AssayError(f"sequencing graph has a cycle involving {cyclic}")
         return [self._operations[name] for name in order]
 
-    def critical_path_length(self, name: str) -> int:
-        """Longest duration sum from ``name`` down to any sink.
+    def critical_path_lengths(self) -> Dict[str, int]:
+        """Every operation's longest duration sum down to any sink.
 
-        Used as the list-scheduler priority: operations on the critical
-        path are scheduled first.
+        One reverse-topological pass.  Used as the list-scheduler
+        priority: operations on the critical path are scheduled first.
         """
         lengths: Dict[str, int] = {}
         for op in reversed(self.topological_order()):
@@ -153,7 +153,7 @@ class SequencingGraph:
                 default=0,
             )
             lengths[op.name] = op.duration + below
-        return lengths[name]
+        return lengths
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`AssayError`.

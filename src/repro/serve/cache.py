@@ -27,7 +27,7 @@ import os
 import warnings
 import zlib
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import CorruptCacheWarning
 from repro.obs import TELEMETRY
@@ -77,8 +77,17 @@ class ResultCache:
         assert self.directory is not None
         return os.path.join(self.directory, f"{key}.json")
 
-    def lookup(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key``, or None.
+    def lookup(
+        self,
+        key: str,
+        accept: Optional[Callable[[dict], Optional[dict]]] = None,
+    ) -> Optional[dict]:
+        """The stored payload for ``key`` (through ``accept``), or None.
+
+        ``accept`` turns the stored payload into the caller's answer, or
+        returns None to refuse it (the serve engine's structure-table
+        check).  A hit is counted only for an answer; a refused payload
+        counts as a miss, like an absent one.
 
         A disk entry that fails its CRC (or does not parse, or carries
         the wrong key) is *evicted* — unlinked with a
@@ -88,23 +97,21 @@ class ResultCache:
         payload = self._memory.get(key)
         if payload is not None:
             self._memory.move_to_end(key)
-            self._hit()
-            return payload
-        if self.directory is not None:
+        elif self.directory is not None:
             payload = self._load(key)
             if payload is not None:
                 self._remember(key, payload)
-                self._hit()
-                return payload
-        self.misses += 1
-        if TELEMETRY.enabled:
-            TELEMETRY.count("serve.cache_misses")
-        return None
-
-    def _hit(self) -> None:
+        if payload is not None and accept is not None:
+            payload = accept(payload)
+        if payload is None:
+            self.misses += 1
+            if TELEMETRY.enabled:
+                TELEMETRY.count("serve.cache_misses")
+            return None
         self.hits += 1
         if TELEMETRY.enabled:
             TELEMETRY.count("serve.cache_hits")
+        return payload
 
     def _load(self, key: str) -> Optional[dict]:
         path = self._path(key)

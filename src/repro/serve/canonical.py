@@ -185,7 +185,24 @@ def _parent_pairs(graph, name) -> List[Tuple[int, str]]:
     return [(part, parent.name) for part, parent in zip(parts, parents)]
 
 
-def _refine(graph, colors: Dict[str, str]) -> Dict[str, str]:
+def _adjacency(graph) -> Dict[str, Tuple[list, list]]:
+    """Every operation's ratio-paired parents and children, built once.
+
+    ``adjacency[name] = (parents, children)``: ``parents`` is
+    :func:`_parent_pairs`, and ``children`` pairs each child with the
+    ratio part *this* operation contributes to it.  Refinement rounds
+    and individualization pivots only recolor; the pairs never change.
+    """
+    adjacency: Dict[str, Tuple[list, list]] = {
+        op.name: (_parent_pairs(graph, op.name), []) for op in graph.operations()
+    }
+    for child, (parents, _) in adjacency.items():
+        for part, parent in parents:
+            adjacency[parent][1].append((part, child))
+    return adjacency
+
+
+def _refine(adjacency, colors: Dict[str, str]) -> Dict[str, str]:
     """Run color refinement from ``colors`` to a stable partition.
 
     Every round rehashes each operation's own color together with the
@@ -193,32 +210,18 @@ def _refine(graph, colors: Dict[str, str]) -> Dict[str, str]:
     pairs) and the children's colors (paired with the ratio part *this*
     operation contributes to each child).  The partition only ever
     refines — a round's color includes the previous one — so at most
-    ``len(graph)`` rounds reach a fixpoint.
+    ``len(adjacency)`` rounds reach a fixpoint.
     """
-    ops = graph.operations()
-    # part_played[parent][child] = the ratio part parent contributes.
-    part_played: Dict[str, Dict[str, Optional[int]]] = {
-        op.name: {} for op in ops
-    }
-    for op in ops:
-        for part, parent in _parent_pairs(graph, op.name):
-            part_played[parent][op.name] = part
-    for _ in range(max(1, len(ops))):
+    for _ in range(max(1, len(adjacency))):
         refined = {
-            op.name: _sha(
+            name: _sha(
                 [
-                    colors[op.name],
-                    sorted(
-                        [part, colors[parent]]
-                        for part, parent in _parent_pairs(graph, op.name)
-                    ),
-                    sorted(
-                        [part_played[op.name][child.name], colors[child.name]]
-                        for child in graph.children(op.name)
-                    ),
+                    colors[name],
+                    sorted([part, colors[parent]] for part, parent in parents),
+                    sorted([part, colors[child]] for part, child in children),
                 ]
             )
-            for op in ops
+            for name, (parents, children) in adjacency.items()
         }
         if len(set(refined.values())) == len(set(colors.values())):
             return refined
@@ -240,9 +243,15 @@ def operation_fingerprints(graph, schedule=None) -> Dict[str, str]:
     descendant structure — renaming operations cannot change it, and
     structurally distinct operations separate as far as color
     refinement can take them.
+
+    This is the expensive step of canonicalization; the serve engine
+    runs it once per submission and hands the result to
+    :func:`problem_key` and :func:`canonical_ids`.
     """
-    ops = graph.operations()
-    return _refine(graph, {op.name: _sha(_attrs(op, schedule)) for op in ops})
+    return _refine(
+        _adjacency(graph),
+        {op.name: _sha(_attrs(op, schedule)) for op in graph.operations()},
+    )
 
 
 #: individualization rounds before falling back to name-order ties —
@@ -267,6 +276,7 @@ def _discrete_colors(graph, fingerprints: Dict[str, str]) -> Dict[str, str]:
     worst produces a table mismatch, which the serve cache treats as a
     miss, never a mislabeled answer.
     """
+    adjacency = _adjacency(graph)
     colors = dict(fingerprints)
     for _ in range(_MAX_PIVOTS):
         groups: Dict[str, List[str]] = {}
@@ -279,7 +289,7 @@ def _discrete_colors(graph, fingerprints: Dict[str, str]) -> Dict[str, str]:
         for name in sorted(duplicated[min(duplicated)]):
             pivoted = dict(colors)
             pivoted[name] = _sha([colors[name], "pivot"])
-            refined = _refine(graph, pivoted)
+            refined = _refine(adjacency, pivoted)
             signature = tuple(sorted(refined.values()))
             if best is None or signature < best[0]:
                 best = (signature, refined)
@@ -288,7 +298,9 @@ def _discrete_colors(graph, fingerprints: Dict[str, str]) -> Dict[str, str]:
     return colors
 
 
-def canonical_ids(graph, schedule=None) -> Dict[str, str]:
+def canonical_ids(
+    graph, schedule=None, fingerprints: Optional[Dict[str, str]] = None
+) -> Dict[str, str]:
     """A name-free identifier per operation: ``<fingerprint16>.<k>``.
 
     Operations sharing a fingerprint (structural duplicates color
@@ -299,8 +311,12 @@ def canonical_ids(graph, schedule=None) -> Dict[str, str]:
     twin groups differently across relabelings).  Soundness of a cache
     rename is still established by *structure-table equality*
     (:func:`structure_table`), never by trusting the indices.
+
+    ``fingerprints`` are :func:`operation_fingerprints` of the same
+    graph and schedule when the caller already has them.
     """
-    fingerprints = operation_fingerprints(graph, schedule)
+    if fingerprints is None:
+        fingerprints = operation_fingerprints(graph, schedule)
     groups: Dict[str, List[str]] = {}
     for name in sorted(fingerprints):
         groups.setdefault(fingerprints[name], []).append(name)
@@ -350,6 +366,7 @@ def problem_key(
     allow_storage_overlap: bool = True,
     health=None,
     extra: Optional[dict] = None,
+    fingerprints: Optional[Dict[str, str]] = None,
 ) -> str:
     """SHA-256 content hash of one whole synthesis problem.
 
@@ -372,9 +389,12 @@ def problem_key(
     equality proves a rename sound.
 
     ``extra`` admits forward-compatible solver-relevant options; it is
-    canonical-JSON'd like everything else.
+    canonical-JSON'd like everything else.  ``fingerprints`` are
+    :func:`operation_fingerprints` of the same graph and schedule when
+    the caller already has them.
     """
-    fingerprints = operation_fingerprints(graph, schedule)
+    if fingerprints is None:
+        fingerprints = operation_fingerprints(graph, schedule)
     records = sorted(
         [
             fingerprints[op.name],

@@ -28,7 +28,6 @@ fails the job — the engine never serves an uncertified design.
 from __future__ import annotations
 
 import asyncio
-import copy
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -55,7 +54,12 @@ from repro.serve.admission import (
 )
 from repro.serve.breaker import CLOSED, OPEN, CircuitBreaker
 from repro.serve.cache import ResultCache, SingleFlight
-from repro.serve.canonical import canonical_ids, problem_key, structure_table
+from repro.serve.canonical import (
+    canonical_ids,
+    operation_fingerprints,
+    problem_key,
+    structure_table,
+)
 from repro.serve.protocol import (
     Job,
     JobState,
@@ -101,6 +105,26 @@ class ServeConfig:
     degraded_budget: float = 1.0
     anchor_stride: int = 1
     supervised: bool = False
+
+
+def _copy_json(value):
+    """A copy of plain JSON data (dicts, lists, scalars) sharing nothing
+    mutable with ``value``.
+
+    :func:`copy.deepcopy` without its memo and per-object dispatch, which
+    dominated a cache hit; scalars are taken as they are, without a call.
+    """
+    if isinstance(value, dict):
+        return {
+            key: _copy_json(item) if isinstance(item, (dict, list)) else item
+            for key, item in value.items()
+        }
+    if isinstance(value, list):
+        return [
+            _copy_json(item) if isinstance(item, (dict, list)) else item
+            for item in value
+        ]
+    return value
 
 
 class ServeEngine:
@@ -202,12 +226,19 @@ class ServeEngine:
         job.schedule = schedule
         if job.time_budget is None:
             job.time_budget = self.config.time_budget
+        # One canonical pass per submission: the fingerprints feed the
+        # key, the ids and (through the ids) the structure table, and
+        # every later rename or payload reuses the job's ids and table.
+        fingerprints = operation_fingerprints(graph, schedule)
         job.key = problem_key(
             graph,
             schedule,
             self.config.grid,
             anchor_stride=self.config.anchor_stride,
+            fingerprints=fingerprints,
         )
+        job.ids = canonical_ids(graph, schedule, fingerprints)
+        job.table = structure_table(graph, schedule, job.ids)
         # The registry only tracks live jobs — settled ones drop out
         # (callers hold their own reference), or a long-running server
         # leaks every job it ever served.
@@ -219,16 +250,16 @@ class ServeEngine:
         if TELEMETRY.enabled:
             TELEMETRY.count("serve.submitted")
 
-        # Tier 1: the canonical result cache.
-        payload = self.cache.lookup(job.key)
-        if payload is not None:
-            client = self._rename(payload, job)
-            if client is not None:
-                job.finish(client, "cache")
-                self._record_latency(job)
-                return job
-            # Structure-table mismatch: sound renaming is unprovable,
-            # so treat as a miss and solve under this job's own labels.
+        # Tier 1: the canonical result cache.  A structure-table
+        # mismatch makes sound renaming unprovable, so the cache counts
+        # it as a miss and the job is solved under its own labels.
+        client = self.cache.lookup(
+            job.key, lambda payload: self._rename(payload, job)
+        )
+        if client is not None:
+            job.finish(client, "cache")
+            self._record_latency(job)
+            return job
 
         # Tier 2: single-flight coalescing.
         leader, flight = self.flights.claim(job.key)
@@ -438,14 +469,11 @@ class ServeEngine:
         the structure table rides along so a future requester with
         different labels can verify a rename before trusting it.
         """
-        ids = canonical_ids(job.graph, job.schedule)
-        table = structure_table(job.graph, job.schedule, ids)
-        design = self._renamed_design(design_dict(result), ids)
         m = result.metrics
         return {
             "served": served,
-            "design": design,
-            "table": table,
+            "design": self._renamed_design(design_dict(result), job.ids, ""),
+            "table": job.table,
             "metrics": {
                 "used_valves": m.used_valves,
                 "role_changing_valves": m.role_changing_valves,
@@ -465,17 +493,19 @@ class ServeEngine:
         }
 
     @staticmethod
-    def _renamed_design(design: dict, mapping: Dict[str, str]) -> dict:
-        """``design_dict`` output with operation names mapped through.
+    def _renamed_design(
+        design: dict, mapping: Dict[str, str], assay: str
+    ) -> dict:
+        """A copy of ``design_dict`` output with operation names mapped.
 
         Only operation ends of a route are renamed: a port end keeps its
         name even when an operation shares it (the fuzzer names its
         inputs ``in0``, ``in1``, ... like the chip's input ports).
         Anything else not in ``mapping`` passes through unchanged; the
-        assay label is dropped (it is a label).
+        assay label becomes ``assay``.
         """
-        design = copy.deepcopy(design)
-        design["assay"] = ""
+        design = _copy_json(design)
+        design["assay"] = assay
         for device in design.get("devices", ()):
             device["operation"] = mapping.get(
                 device["operation"], device["operation"]
@@ -493,23 +523,21 @@ class ServeEngine:
         that equality is a complete isomorphism proof (the table lists
         every attribute and edge in canonical-id space), so a verified
         rename can never serve a mislabeled design.  Any mismatch is a
-        miss.
+        miss.  The reply is a copy (the table stays server-side): a
+        client that mutates it never reaches the cache entry.
         """
-        ids = canonical_ids(job.graph, job.schedule)
-        table = structure_table(job.graph, job.schedule, ids)
-        if table != payload.get("table"):
+        if job.table != payload.get("table"):
             return None
-        reverse = {cid: name for name, cid in ids.items()}
-        client = self._client_view(payload, job)
-        client["design"] = self._renamed_design(client["design"], reverse)
-        client["design"]["assay"] = job.graph.name
-        return client
-
-    @staticmethod
-    def _client_view(payload: dict, job: Job) -> dict:
-        """What one requester receives (the table stays server-side)."""
-        client = {k: copy.deepcopy(v) for k, v in payload.items() if k != "table"}
-        return client
+        reverse = {cid: name for name, cid in job.ids.items()}
+        return {
+            key: (
+                self._renamed_design(value, reverse, job.graph.name)
+                if key == "design"
+                else _copy_json(value)
+            )
+            for key, value in payload.items()
+            if key != "table"
+        }
 
     # -- introspection -----------------------------------------------------
 

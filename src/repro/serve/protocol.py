@@ -117,6 +117,10 @@ class Job:
     the content-addressed result cache), ``"coalesced"`` (attached to
     an identical in-flight solve), ``"degraded"`` (the circuit breaker
     was open and a greedy degraded result was served).
+
+    ``ids`` and ``table`` are the submission's canonical ids and
+    structure table (:mod:`repro.serve.canonical`), computed once at
+    submit and reused by every rename and payload.
     """
 
     __slots__ = (
@@ -124,6 +128,8 @@ class Job:
         "key",
         "graph",
         "schedule",
+        "ids",
+        "table",
         "state",
         "source",
         "shed_multiplier",
@@ -147,6 +153,8 @@ class Job:
         self.key: Optional[str] = None
         self.graph = None
         self.schedule = None
+        self.ids: Optional[Dict[str, str]] = None
+        self.table: Optional[dict] = None
         self.state = JobState.QUEUED
         self.source = "solve"
         self.shed_multiplier = 1.0

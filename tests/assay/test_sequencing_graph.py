@@ -1,10 +1,13 @@
 """Unit tests for the sequencing graph DAG."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AssayError
 from repro.assay.operation import OperationKind
 from repro.assay.sequencing_graph import SequencingGraph
+from repro.assays.fuzzer import fuzz_graph
 
 
 def small_graph():
@@ -71,10 +74,30 @@ class TestAnalysis:
             g.topological_order()
 
     def test_critical_path_length(self):
-        g = small_graph()
+        lengths = small_graph().critical_path_lengths()
         # a (4) -> b (4) -> d (2) = 10
-        assert g.critical_path_length("a") == 10
-        assert g.critical_path_length("d") == 2
+        assert lengths["a"] == 10
+        assert lengths["d"] == 2
+        assert lengths["i2"] == 6  # i2 (0) -> b (4) -> d (2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), operations=st.integers(4, 40))
+    def test_critical_path_lengths_match_a_reference(self, seed, operations):
+        g = fuzz_graph(seed, operations)
+        memo = {}
+
+        def longest(name):
+            # Longest duration sum down to a sink, by memoized recursion
+            # over the children: no topological order involved.
+            if name not in memo:
+                memo[name] = g.operation(name).duration + max(
+                    (longest(c.name) for c in g.children(name)), default=0
+                )
+            return memo[name]
+
+        assert g.critical_path_lengths() == {
+            op.name: longest(op.name) for op in g.operations()
+        }
 
     def test_ancestors(self):
         g = small_graph()

@@ -25,6 +25,13 @@ class TestMemoryCache:
         assert cache.stats()["misses"] == 1.0
         assert cache.stats()["hit_rate"] == 0.5
 
+    def test_refused_payload_counts_a_miss(self):
+        cache = ResultCache()
+        cache.store(KEY, PAYLOAD)
+        assert cache.lookup(KEY, lambda payload: None) is None
+        assert cache.lookup(KEY, lambda payload: {"n": 1}) == {"n": 1}
+        assert (cache.hits, cache.misses) == (1, 1)
+
 
 class TestMemoryBound:
     def test_lru_trim_keeps_the_cap(self):

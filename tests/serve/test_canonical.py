@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from repro.assay.operation import MixRatio
 from repro.assay.schedule import Schedule
+from repro.assay.scheduler import ListScheduler, SchedulerConfig
 from repro.assay.sequencing_graph import SequencingGraph
+from repro.assays.fuzzer import fuzz_graph
 from repro.geometry import GridSpec, Point
 from repro.core.mapping_model import MappingSpec
 from repro.core.tasks import MappingTask
@@ -216,6 +218,70 @@ class TestStructureTable:
         g2 = _random_problem(ops, [f"node_{s}" for s in shuffled])
         assert problem_key(g1) == problem_key(g2)
         assert structure_table(g1) == structure_table(g2)
+
+
+class TestPinnedKeys:
+    """Keys and ids recorded before the one-pass canonicalization.
+
+    A cache written by an older server must keep hitting: a change to
+    any value here changes every stored key, and must come with an
+    ``ir`` bump in :func:`problem_key`.
+    """
+
+    FUZZ_IDS = {
+        "in0": "1d0a5f2b4d1cc131.0",
+        "in1": "ed365dbde59593fa.0",
+        "in2": "fb6cd5f028dd53b9.0",
+        "in3": "a3c4933d8e21f7fb.0",
+        "m1": "1cabe45d2a6298b8.0",
+        "m2": "3f500c8f9b1fa15e.0",
+        "m3": "36ceff59e5356bda.0",
+        "m4": "f8725e64dbced724.0",
+        "m5": "0b8067dda3f23798.0",
+        "m6": "3377b73378108c83.0",
+        "m7": "7ba0407e3e048981.0",
+        "m8": "09d44e5748cb297f.0",
+    }
+
+    def test_fuzz_problem_key_and_ids(self):
+        graph = fuzz_graph(1, 12)
+        schedule = ListScheduler(SchedulerConfig()).schedule(graph)
+        assert {name: e.start for name, e in schedule.entries.items()} == {
+            "in0": 0, "in1": 0, "in2": 0, "in3": 0, "m1": 0, "m4": 0,
+            "m2": 11, "m3": 22, "m5": 35, "m6": 48, "m7": 61, "m8": 74,
+        }
+        key = (
+            "1484e682c66ae616938966b94b26276b"
+            "487946054f60e0edee52aa0b27bf9eca"
+        )
+        assert problem_key(graph, schedule, GridSpec(10, 10)) == key
+        assert canonical_ids(graph, schedule) == self.FUZZ_IDS
+        # Handing over the fingerprints changes nothing.
+        fingerprints = operation_fingerprints(graph, schedule)
+        assert problem_key(
+            graph, schedule, GridSpec(10, 10), fingerprints=fingerprints
+        ) == key
+        assert canonical_ids(graph, schedule, fingerprints) == self.FUZZ_IDS
+
+    def test_twin_groups_ids(self):
+        # Twin inputs feeding twin mixes: the individualization pivots.
+        ops = [("input", 2)] * 4 + [
+            ("mix", 2, 4, (0, 1)),
+            ("mix", 2, 4, (0, 2)),
+        ]
+        graph = _random_problem(ops, [f"op{i}" for i in range(len(ops))])
+        assert problem_key(graph) == (
+            "fc3c30d53015d987f6fbb21a7682f8ff"
+            "a15b2796e073bc1175939b97a555a24b"
+        )
+        assert canonical_ids(graph) == {
+            "op0": "103d26425550c4b2.0",
+            "op1": "159a60b88b9d57de.1",
+            "op2": "159a60b88b9d57de.0",
+            "op3": "5caa03942b189f1b.0",
+            "op4": "5a0ec621814d03ed.1",
+            "op5": "5a0ec621814d03ed.0",
+        }
 
 
 def _random_problem(draw_ops, names):

@@ -1,6 +1,7 @@
 """The serve engine end-to-end: solve, cache, coalesce, shed, reject."""
 
 import asyncio
+import json
 import types
 
 import pytest
@@ -11,6 +12,8 @@ from repro.assay.textio import graph_to_text
 from repro.assays.fuzzer import fuzz_graph
 from repro.errors import AssaySpecError
 from repro.geometry import GridSpec
+from repro.serve import canonical
+from repro.serve import engine as engine_module
 from repro.serve.breaker import OPEN
 from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.protocol import JobState, ProtocolError
@@ -309,6 +312,88 @@ class TestCachePath:
                 job = await fresh.submit(ASSAY)
                 await job.wait()
                 assert job.source == "cache"
+
+        run(body())
+
+    def test_structure_mismatch_counts_a_miss(self):
+        # A key match whose structure table disagrees is solved, not
+        # served, so the cache must count it as a miss.
+        async def body():
+            async with ServeEngine(config()) as solver:
+                first = await solver.submit(ASSAY)
+                await first.wait()
+                stored = solver.cache.lookup(first.key)
+            async with ServeEngine(config()) as engine:
+                engine.cache.store(first.key, {**stored, "table": {"x": {}}})
+                job = await engine.submit(ASSAY)
+                await job.wait()
+                assert job.state == JobState.DONE, job.error
+                assert job.source == "solve"
+                assert (engine.cache.hits, engine.cache.misses) == (0, 1)
+                assert engine.status()["cache"]["hits"] == 0.0
+
+        run(body())
+
+    def test_served_payloads_share_nothing_with_the_cache(self):
+        async def body():
+            async with ServeEngine(config()) as engine:
+                leader = await engine.submit(ASSAY)
+                await leader.wait()
+                hit = await engine.submit(RELABELED)
+                await hit.wait()
+                assert hit.source == "cache", hit.error
+                original = json.loads(json.dumps(hit.payload))
+                design = hit.payload["design"]
+                design["valves"][0]["roles"].append("tampered")
+                design["routes"][0]["cells"][0][0] = -1
+                design["routes"][0]["cells"].append([-1, -1])
+                hit.payload["metrics"]["used_valves"] = -1
+                hit.payload["audit"]["ok"] = False
+                hit.payload["audit"]["checks"].append("tampered")
+                again = await engine.submit(RELABELED)
+                await again.wait()
+                assert again.source == "cache", again.error
+                assert again.payload == original
+
+        run(body())
+
+
+class TestOneCanonicalPass:
+    """Each submission canonicalizes once (DESIGN.md §15.1)."""
+
+    def test_hit_and_solve_each_refine_once(self, monkeypatch):
+        calls = {}
+        names = (
+            "operation_fingerprints",
+            "problem_key",
+            "canonical_ids",
+            "structure_table",
+        )
+        for name in names:
+            original = getattr(canonical, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            # The fingerprints wherever they are looked up; the three
+            # spans the benchmark tracer hooks, in the engine's namespace.
+            if name == "operation_fingerprints":
+                monkeypatch.setattr(canonical, name, wrapper)
+            monkeypatch.setattr(engine_module, name, wrapper, raising=False)
+        once = dict.fromkeys(names, 1)
+
+        async def body():
+            async with ServeEngine(config()) as engine:
+                solved = await engine.submit(ASSAY)
+                await solved.wait()
+                assert solved.source == "solve", solved.error
+                assert calls == once
+                calls.clear()
+                hit = await engine.submit(RELABELED)
+                await hit.wait()
+                assert hit.source == "cache", hit.error
+                assert calls == once
 
         run(body())
 
