@@ -65,6 +65,7 @@ from repro.errors import (
     ReproError,
     SchedulingError,
 )
+from repro.experiments.profile import MAPPER_CHOICES
 from repro.geometry import GridSpec
 from repro.viz import actuation_summary, render_gantt, render_heatmap
 
@@ -357,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument(
         "--mapper", default="auto",
-        choices=["auto", "greedy", "ilp", "windowed_ilp", "parallel",
-                 "anytime"],
+        choices=MAPPER_CHOICES,
         help="mapping engine (default: automatic selection; 'parallel' "
         "is the windowed mapper with process-pool refinement; 'anytime' "
         "races LNS against the exact ILP, see DESIGN.md §13)",
@@ -431,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_life.add_argument(
         "--mapper", default="auto",
-        choices=["auto", "greedy", "ilp", "windowed_ilp", "parallel",
-                 "anytime"],
+        choices=MAPPER_CHOICES,
         help="mapping engine used for every (re)synthesis",
     )
     p_life.add_argument(

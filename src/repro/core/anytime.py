@@ -1,8 +1,8 @@
 """The anytime mapper tier: a heuristic lane racing the exact ILP.
 
 DESIGN.md §13.  Under a finite time budget the synthesizer no longer
-bets the whole mapping stage on the ILP finishing in time — it runs two
-lanes against the same deadline:
+bets the whole mapping stage on the ILP finishing in time.  Up to
+``ilp_task_limit`` tasks it runs two lanes against the same deadline:
 
 * the **heuristic lane** (this thread): the greedy balancer produces a
   feasible mapping in milliseconds, then
@@ -12,10 +12,9 @@ lanes against the same deadline:
   :class:`~repro.resilience.DegradationLadder`): the monolithic branch
   & bound on the very same
   :class:`~repro.core.mapping_model.BuiltMapping` (a supervised
-  :class:`ILPMapper` solve in crash-safe mode, the rolling-horizon
-  :class:`WindowedILPMapper` beyond ``ilp_task_limit`` tasks).
+  :class:`ILPMapper` solve in crash-safe mode).
 
-In the in-process monolithic race the lanes meet at an
+In the in-process race the lanes meet at an
 :class:`~repro.ilp.incumbent.IncumbentPool`.  Every heuristic incumbent
 is *completed* into a full variable assignment
 (:func:`~repro.core.mapping_model.complete_solution`), replay-checked
@@ -23,12 +22,17 @@ against the model, **certified** by
 :func:`repro.certify.certify_assignment`, and only then offered to the
 pool — the branch & bound adopts it as an upper bound (pruning, and
 stopping instantly when the offer matches the proven root bound), never
-trusting it blindly.  Elsewhere the heuristic lane only tracks its
-incumbents by ledger peak.  When the budget expires the orchestrator
-adopts whichever lane holds the best objective; ties go to the exact
-lane, whose solution also carries an optimality status.  A heuristic
-win engages the ``anytime_heuristic`` resilience rung: the answer is
-feasible with a known objective, just not proven optimal.
+trusting it blindly.
+
+Beyond ``ilp_task_limit`` there is no race: the packer and LNS run in
+this thread, and the rolling-horizon :class:`WindowedILPMapper` runs
+after them only with no deadline or no packer start (under a deadline
+its HiGHS windows never answered in time).
+
+Either way the best objective is adopted; ties go to the exact answer,
+which also carries an optimality status.  A heuristic win engages the
+``anytime_heuristic`` resilience rung: the answer is feasible with a
+known objective, just not proven optimal.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.architecture.device import Placement
-from repro.errors import SynthesisError
+from repro.errors import ReproError, SynthesisError
 from repro.ilp.incumbent import IncumbentPool
 from repro.obs import TELEMETRY
 from repro.resilience import Deadline, DegradationLadder
@@ -107,10 +111,12 @@ class AnytimeMapper(BaseMapper):
 
     ``ilp_task_limit``/``window_size`` are the same
     monolithic-vs-windowed switch :class:`SynthesisConfig` uses, and
-    ``seed`` drives the LNS destroy sets.  The exact lane's solver is
-    fixed by the scope: the pure-python branch & bound for the
-    monolithic model (the HiGHS wrapper exposes no incumbent callback),
-    the windowed mapper's HiGHS default beyond ``ilp_task_limit``.
+    ``seed`` drives the LNS destroy sets.  The race's exact lane is the
+    pure-python branch & bound on the monolithic model (the HiGHS
+    wrapper exposes no incumbent callback).  Beyond ``ilp_task_limit``
+    a budgeted mapping is the packer plus LNS alone; the windowed
+    mapper's HiGHS default answers only without a deadline or without
+    a packer start.
     """
 
     name = "anytime"
@@ -135,7 +141,7 @@ class AnytimeMapper(BaseMapper):
     ) -> MappingResult:
         if len(spec.tasks) <= self.ilp_task_limit:
             return self._race_monolithic(spec, deadline, ladder)
-        return self._race_windowed(spec, deadline, ladder)
+        return self._map_windowed(spec, deadline, ladder)
 
     def _crash_safe(self, mapper: BaseMapper) -> BaseMapper:
         """Wire this mapper's journal and supervisor into an exact lane."""
@@ -233,54 +239,51 @@ class AnytimeMapper(BaseMapper):
             #    is done (its answer dominates every further round).
             if greedy is not None:
                 stats.update(self._improve(
-                    spec, placements, deadline, should_stop,
+                    spec, placements, deadline,
                     lambda snapshot, peak: offer(snapshot, "lns"),
+                    should_stop,
                 ))
 
         exact, error = _run_lanes(solve_exact, heuristic, deadline, ladder, stats)
         stats["race_timeline"] = pool.timeline_snapshot()
         return self._adopt(spec, stats, best, exact, error, ladder, start)
 
-    def _race_windowed(
+    def _map_windowed(
         self,
         spec: MappingSpec,
         deadline: Optional[Deadline],
         ladder: Optional[DegradationLadder],
     ) -> MappingResult:
-        """Beyond ``ilp_task_limit``: race the rolling-horizon mapper.
+        """Beyond ``ilp_task_limit``: packer, then LNS, in this thread.
 
-        The monolithic model is out of reach here, so there is no
-        completion/injection — the heuristic lane tracks its incumbents
-        by ledger peak and the race is decided on raw objectives.
+        No completion/injection here: LNS tracks its incumbents by
+        ledger peak.  The rolling-horizon mapper runs only where it can
+        still answer — with no deadline, or with no packer start.
         """
         start = time.monotonic()
-        exact_mapper = self._crash_safe(
-            WindowedILPMapper(window_size=self.window_size)
-        )
         stats: Dict[str, float] = {"injectable": 0.0}
         best: Dict[str, object] = {}
-
-        def track(placements: Dict[str, Placement], peak: int) -> None:
-            _keep_best(best, placements, peak, start)
-
-        def solve_exact(lane_ladder: DegradationLadder) -> MappingResult:
-            return exact_mapper.map_tasks(
-                spec, deadline=deadline, ladder=lane_ladder
-            )
-
-        def heuristic(should_stop: Callable[[], bool]) -> None:
-            try:
-                greedy = GreedyMapper().map_tasks(spec, deadline=deadline)
-            except SynthesisError:
-                return  # heuristic lane dead: the exact lane decides
+        exact: Optional[MappingResult] = None
+        error: Optional[Exception] = None
+        try:
+            greedy = GreedyMapper().map_tasks(spec, deadline=deadline)
+        except SynthesisError:
+            greedy = None  # no heuristic start: the exact mapper decides
+        if greedy is not None:
             stats["first_feasible_seconds"] = time.monotonic() - start
             placements = dict(greedy.placements)
-            track(placements, greedy.objective)
+            _keep_best(best, placements, greedy.objective, start)
             stats.update(self._improve(
-                spec, placements, deadline, should_stop, track
+                spec, placements, deadline,
+                lambda snap, peak: _keep_best(best, snap, peak, start),
             ))
-
-        exact, error = _run_lanes(solve_exact, heuristic, deadline, ladder, stats)
+        if greedy is None or deadline is None:
+            try:
+                exact = self._crash_safe(
+                    WindowedILPMapper(window_size=self.window_size)
+                ).map_tasks(spec, deadline=deadline, ladder=ladder)
+            except ReproError as exc:
+                error = exc
         return self._adopt(spec, stats, best, exact, error, ladder, start)
 
     # -- shared by both scopes -------------------------------------------
@@ -290,8 +293,8 @@ class AnytimeMapper(BaseMapper):
         spec: MappingSpec,
         placements: Dict[str, Placement],
         deadline: Optional[Deadline],
-        should_stop: Callable[[], bool],
         on_improve: Callable[[Dict[str, Placement], int], None],
+        should_stop: Optional[Callable[[], bool]] = None,
     ) -> Dict[str, float]:
         """The LNS rounds of the heuristic lane; ``placements`` in place."""
         return LargeNeighborhoodSearch(spec, seed=self.seed).run(
@@ -414,10 +417,10 @@ def _run_lanes(
     ``heuristic`` gets a stop predicate that turns true once the exact
     lane is done.  The lane solves on a private ladder, and the rungs it
     engaged up to the join merge into ``ladder`` whether or not it
-    finished: a lost worker or a shrunk window happened in this run, but
-    an abandoned thread must not keep appending to the run's report
-    after the race returned.  Returns the lane's result and error (both
-    None when abandoned).
+    finished: a lost worker happened in this run, but an abandoned
+    thread must not keep appending to the run's report after the race
+    returned.  Returns the lane's result and error (both None when
+    abandoned).
     """
     slot: Dict[str, object] = {}
     done = threading.Event()

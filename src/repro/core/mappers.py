@@ -583,7 +583,7 @@ class WindowedILPMapper(BaseMapper):
                         "after budget expiry",
                     )
                 result = GreedyMapper().map_tasks(
-                    self._window_spec(spec, rest, ordered, placements)
+                    window_subspec(spec, rest, ordered, placements)
                 )
                 all_optimal = False
                 merge_overlaps(result)
@@ -1021,17 +1021,6 @@ class WindowedILPMapper(BaseMapper):
                 return False
         return True
 
-    def _window_spec(
-        self,
-        spec: MappingSpec,
-        window: List[MappingTask],
-        ordered: List[MappingTask],
-        placements: Dict[str, Placement],
-        discouraged: frozenset = frozenset(),
-    ) -> MappingSpec:
-        """The window's sub-problem: every placed task fixed as a constant."""
-        return window_subspec(spec, window, ordered, placements, discouraged)
-
     def _ilp(self, limit: Optional[float]) -> ILPMapper:
         """An inner exact mapper carrying this mapper's crash-safety wiring.
 
@@ -1069,7 +1058,7 @@ class WindowedILPMapper(BaseMapper):
         limit = self.time_limit_per_window
         if deadline is not None:
             limit = deadline.limit(limit)
-        window_spec = self._window_spec(
+        window_spec = window_subspec(
             spec, window, ordered, placements, discouraged
         )
         result: Optional[MappingResult] = None
@@ -1088,7 +1077,8 @@ class WindowedILPMapper(BaseMapper):
                         f"window of {len(window)} split after: {error}",
                     )
                 result = self._solve_shrunk(
-                    spec, window, ordered, placements, discouraged, deadline
+                    spec, window, ordered, placements, discouraged, deadline,
+                    ladder,
                 )
         if result is None:
             if ladder is not None:
@@ -1113,6 +1103,7 @@ class WindowedILPMapper(BaseMapper):
         placements: Dict[str, Placement],
         discouraged: frozenset,
         deadline: Optional[Deadline],
+        ladder: Optional[DegradationLadder],
     ) -> Optional[MappingResult]:
         """The ``window_shrink`` rung: two exact half-window solves.
 
@@ -1130,12 +1121,12 @@ class WindowedILPMapper(BaseMapper):
             limit = self.time_limit_per_window
             if deadline is not None:
                 limit = deadline.limit(limit)
-            half_spec = self._window_spec(
+            half_spec = window_subspec(
                 spec, half, ordered, staged, discouraged
             )
             try:
                 result = self._ilp(limit).map_tasks(
-                    half_spec, deadline=deadline
+                    half_spec, deadline=deadline, ladder=ladder
                 )
             except (SynthesisError, SolverError):
                 return None

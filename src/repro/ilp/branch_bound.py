@@ -59,6 +59,9 @@ _INT_TOL = INTEGRALITY_EPS
 #: nodes simply cold start (correctness is unaffected).
 _MAX_STORED_BASES = 10_000
 
+#: Root cutting-plane separation rounds (:func:`_root_cut_loop`).
+_CUT_ROUNDS = 3
+
 #: Standard-form row count below which warm starts are not even worth
 #: probing: on sub-ms LPs the cold path's identity-basis fast path and
 #: cached Dantzig pricing solve a node faster than the dual repair's
@@ -249,14 +252,13 @@ def _root_cut_loop(
     root_bounds: List[Tuple[float, float]],
     integrality,
     lp_max_iterations: int,
-    cut_rounds: int,
     certify: str,
     cut_stats: Dict[str, float],
     deadline: Optional[float] = None,
 ) -> Tuple[
     CompiledModel, np.ndarray, np.ndarray, Optional[Basis], Optional[float]
 ]:
-    """Separate root cutting planes for up to ``cut_rounds`` rounds.
+    """Separate root cutting planes for up to ``_CUT_ROUNDS`` rounds.
 
     Returns the (possibly rebuilt) compiled model, the grown ``a_ub`` /
     ``b_ub``, the optimal root basis as a warm-start seed for the root
@@ -276,7 +278,7 @@ def _root_cut_loop(
         return compiled, a_ub, b_ub, None, None
     obj = relax.objective
     basis = relax.basis
-    for _ in range(cut_rounds):
+    for _ in range(_CUT_ROUNDS):
         if deadline is not None and time.monotonic() > deadline:
             break  # out of time: keep whatever rounds already paid off
         if all(
@@ -326,33 +328,31 @@ def solve_branch_bound(
     model: Model,
     max_nodes: int = 200_000,
     time_limit: Optional[float] = None,
-    absolute_gap: float = GAP_EPS,
     lp_max_iterations: int = 200_000,
     warm_start: bool = True,
     warm_start_min_rows: int = _WARM_START_MIN_ROWS,
-    max_stored_bases: int = _MAX_STORED_BASES,
     certify: str = "off",
     presolve: bool = True,
     cuts: bool = True,
-    cut_rounds: int = 3,
     dive: bool = True,
     incumbent: Optional[IncumbentPool] = None,
 ) -> Solution:
     """Optimize ``model`` by branch & bound.
 
     Every relaxation is solved by the sparse-LU revised simplex of
-    :class:`~repro.ilp.compiled.CompiledModel`.  ``absolute_gap``
-    prunes nodes whose bound cannot improve the incumbent by more than
-    the gap; the mapping objective is integral, so callers may pass a
-    gap just below 1 to prove optimality faster.  ``lp_max_iterations``
-    caps each relaxation's simplex pivots; a capped relaxation marks the
-    search non-exhausted rather than pruning its node.
+    :class:`~repro.ilp.compiled.CompiledModel`.  Nodes whose bound
+    cannot improve the incumbent by more than
+    :data:`~repro.ilp.tolerances.GAP_EPS` are pruned (reported as
+    ``stats["absolute_gap"]``, which the LP certificate layer reads).
+    ``lp_max_iterations`` caps each relaxation's simplex pivots; a
+    capped relaxation marks the search non-exhausted rather than
+    pruning its node.
 
     ``presolve`` runs the exact-arithmetic reductions of
     :mod:`repro.ilp.presolve` on the ``to_arrays`` output; branching and
     every LP certificate then operate on the reduced arrays (variables
     are never renumbered, so solutions need no postsolve).  ``cuts``
-    adds up to ``cut_rounds`` rounds of root cutting planes
+    adds up to ``_CUT_ROUNDS`` rounds of root cutting planes
     (:mod:`repro.ilp.cuts`).  Under ``certify != "off"`` every cut must
     pass :func:`repro.certify.certify_cut` or it is dropped, so a strict
     search never tightens the relaxation on unproven grounds.
@@ -373,9 +373,9 @@ def solve_branch_bound(
     measurably slower than the mean cold one
     (``stats["warm_start_disabled"]`` — row count alone does not
     predict the payoff; see :class:`_WarmStartGovernor`).
-    ``max_stored_bases`` bounds the warm-start memory: once the open-node
-    heap outgrows it, children are pushed without a basis snapshot and
-    cold start on arrival.
+    ``_MAX_STORED_BASES`` bounds the warm-start memory: once the
+    open-node heap outgrows it, children are pushed without a basis
+    snapshot and cold start on arrival.
 
     ``incumbent`` (an :class:`repro.ilp.incumbent.IncumbentPool`) wires
     this search into the anytime race (DESIGN.md §13): externally
@@ -383,7 +383,7 @@ def solve_branch_bound(
     against the presolved arrays, and adopted as upper bounds; the
     search's own integral incumbents and final bound are published back
     to the pool's timeline.  An injected incumbent that already matches
-    the root relaxation bound (within ``absolute_gap``) terminates the
+    the root relaxation bound (within ``GAP_EPS``) terminates the
     search immediately with OPTIMAL — no nodes are enumerated.
 
     ``dive`` runs a depth-first rounding dive from the root relaxation
@@ -464,7 +464,7 @@ def solve_branch_bound(
         cut_start = time.perf_counter()
         compiled, a_ub, b_ub, root_basis, root_obj = _root_cut_loop(
             compiled, c, a_ub, b_ub, a_eq, b_eq, root_bounds, integrality,
-            lp_max_iterations, cut_rounds, certify, cut_stats,
+            lp_max_iterations, certify, cut_stats,
             deadline=lp_deadline,
         )
         cut_stats["cut_wall_time"] = time.perf_counter() - cut_start
@@ -571,7 +571,7 @@ def solve_branch_bound(
                 root_obj = relax0.objective
                 if warm_start:
                     root_basis = relax0.basis
-        if root_obj is not None and best_obj <= root_obj + absolute_gap:
+        if root_obj is not None and best_obj <= root_obj + GAP_EPS:
             stats["root_bound_stop"] = 1
             root_stop = True
 
@@ -639,7 +639,7 @@ def solve_branch_bound(
         if incumbent is not None and incumbent.version != ext_version:
             _poll_external()
         node = heapq.heappop(heap)
-        if node.bound >= best_obj - absolute_gap:
+        if node.bound >= best_obj - GAP_EPS:
             stats["nodes_pruned_bound"] += 1
             continue  # cannot improve the incumbent
         node_basis = node.basis if warm_start else None
@@ -721,7 +721,7 @@ def solve_branch_bound(
         # selection below degrades to most-fractional.
         if math.isfinite(node.bound) and relax.warm_started:
             pseudo.record(node, relax.objective)
-        if relax.objective >= best_obj - absolute_gap:
+        if relax.objective >= best_obj - GAP_EPS:
             stats["nodes_pruned_bound"] += 1
             continue
         x = relax.x
@@ -748,7 +748,7 @@ def solve_branch_bound(
         # solves copy before pivoting); past the memory cap children are
         # pushed basis-less and will cold start.
         child_basis = relax.basis if warm_start else None
-        if child_basis is not None and len(heap) >= max_stored_bases:
+        if child_basis is not None and len(heap) >= _MAX_STORED_BASES:
             child_basis = None
             stats["bases_dropped"] += 2
         down_frac = value - math.floor(value)
@@ -774,10 +774,10 @@ def solve_branch_bound(
 
     # Publish the proven lower bound (minimize form) so the certificate
     # layer can audit the claimed gap independently of the search.
-    stats["absolute_gap"] = absolute_gap
+    stats["absolute_gap"] = GAP_EPS
     if exhausted:
         stats["best_bound"] = (
-            math.inf if best_x is None else best_obj - absolute_gap
+            math.inf if best_x is None else best_obj - GAP_EPS
         )
     elif stats["nodes_lp_limit"] or stats["nodes_unbounded_dropped"]:
         # Subtrees were dropped with unknown bounds: no finite claim is
@@ -785,7 +785,7 @@ def solve_branch_bound(
         stats["best_bound"] = -math.inf
     else:
         heap_min = min((n.bound for n in heap), default=math.inf)
-        stats["best_bound"] = min(heap_min, best_obj - absolute_gap)
+        stats["best_bound"] = min(heap_min, best_obj - GAP_EPS)
 
     if incumbent is not None and math.isfinite(stats["best_bound"]):
         incumbent.note("bound", "bb", sense_sign * stats["best_bound"])

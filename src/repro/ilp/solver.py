@@ -40,7 +40,7 @@ def solve(
       HiGHS for anything sizable (keeps tests exercising both paths);
     * ``"scipy"`` — :func:`scipy.optimize.milp` (HiGHS);
     * ``"branch_bound"`` — the from-scratch solver; extra ``kwargs``
-      (``max_nodes``, ``absolute_gap``, ``warm_start``, ...) are
+      (``max_nodes``, ``lp_max_iterations``, ``warm_start``, ...) are
       forwarded.
 
     ``certify`` (``off``/``audit``/``strict``) runs the independent

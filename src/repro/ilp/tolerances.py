@@ -27,7 +27,7 @@ constant                  meaning
                           test (``gain >= remaining - DUAL_FLIP_EPS``)
 ``INTEGRALITY_EPS``       how far from the nearest integer a relaxation
                           value may sit and still count as integral
-``GAP_EPS``               default absolute branch & bound gap: nodes
+``GAP_EPS``               absolute branch & bound gap: nodes
                           whose bound cannot beat the incumbent by more
                           than this are pruned
 ``CHECK_EPS``             constraint/bound satisfaction tolerance of

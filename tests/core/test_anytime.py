@@ -1,11 +1,14 @@
 """The anytime mapper tier (DESIGN.md §13).
 
-Four contracts pinned here:
+Five contracts pinned here:
 
 * **equivalence** — with no deadline the race still ends at the exact
   lane's proven objective;
 * **race invariants** — a monolithic race builds the mapping model
   exactly once, and every race counts exactly one winner;
+* **the windowed scope** — beyond ``ilp_task_limit`` a budgeted
+  mapping starts no exact solve, and without a packer start the
+  rolling-horizon mapper's answer is the result;
 * **the race** — first feasible in milliseconds, incumbents certified
   before injection, the solver sees them, a heuristic win engages the
   ``anytime_heuristic`` rung, and the race never returns a worse
@@ -16,6 +19,7 @@ Four contracts pinned here:
   budgeted synthesis stays simulator-valid and audit-clean.
 """
 
+import threading
 import warnings
 
 import pytest
@@ -25,14 +29,19 @@ from repro.certify import certify_assignment
 from repro.core import ChipSimulator, ReliabilitySynthesizer, SynthesisConfig
 from repro.core.anytime import AnytimeMapper
 from repro.core.lns import LargeNeighborhoodSearch
-from repro.core.mappers import GreedyMapper, ILPMapper, LoadLedger
+from repro.core.mappers import (
+    GreedyMapper,
+    ILPMapper,
+    LoadLedger,
+    WindowedILPMapper,
+)
 from repro.core.mapping_model import (
     MappingModelBuilder,
     MappingSpec,
     complete_solution,
 )
 from repro.core.tasks import build_tasks
-from repro.errors import DegradedResultWarning
+from repro.errors import DegradedResultWarning, SynthesisError
 from repro.obs import TELEMETRY
 from repro.resilience import Deadline, DegradationLadder
 
@@ -108,6 +117,62 @@ class TestRaceInvariants:
         )
         assert counters.get("anytime.races") == 1
         assert winners == 1
+
+
+class TestWindowedScope:
+    """Beyond ``ilp_task_limit`` a budgeted mapping is packer + LNS."""
+
+    def test_budgeted_run_starts_no_exact_solve(self, monkeypatch):
+        started, calls = [], []
+        original_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(
+            MappingModelBuilder, "build", lambda self: calls.append("build")
+        )
+        monkeypatch.setattr(
+            WindowedILPMapper,
+            "map_tasks",
+            lambda self, spec, **kwargs: calls.append("windowed"),
+        )
+        ladder = DegradationLadder()
+        result = AnytimeMapper(seed=1, ilp_task_limit=4).map_tasks(
+            spec_for("pcr"), deadline=Deadline(2.0), ladder=ladder
+        )
+        assert "anytime-exact" not in started
+        assert calls == []
+        assert result.stats["race_winner_heuristic"] == 1.0
+        assert ladder.fired(DegradationLadder.ANYTIME_HEURISTIC) == 1
+
+    def test_no_packer_start_returns_the_windowed_answer(self, monkeypatch):
+        original_greedy = GreedyMapper.map_tasks
+        original_windowed = WindowedILPMapper.map_tasks
+        greedy_calls, answers = [], []
+
+        def greedy_fails_once(self, spec, **kwargs):
+            greedy_calls.append(1)
+            if len(greedy_calls) == 1:
+                raise SynthesisError("no packing")
+            return original_greedy(self, spec, **kwargs)
+
+        def windowed(self, spec, **kwargs):
+            answers.append(original_windowed(self, spec, **kwargs))
+            return answers[-1]
+
+        monkeypatch.setattr(GreedyMapper, "map_tasks", greedy_fails_once)
+        monkeypatch.setattr(WindowedILPMapper, "map_tasks", windowed)
+        result = AnytimeMapper(seed=1, ilp_task_limit=4).map_tasks(
+            spec_for("pcr"), deadline=Deadline(10.0)
+        )
+        assert len(answers) == 1
+        assert result.placements == answers[0].placements
+        assert result.objective == answers[0].objective
+        assert result.stats["race_winner_heuristic"] == 0.0
+        assert "first_feasible_seconds" not in result.stats
 
 
 class TestRace:
