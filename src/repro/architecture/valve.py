@@ -17,6 +17,10 @@ from typing import Dict, Set
 from repro.errors import ArchitectureError
 from repro.geometry import Point
 
+#: Reliable actuations before a valve wears out — the order of
+#: magnitude of the paper's citation [4] ("a few thousand times").
+DEFAULT_WEAR_BUDGET: int = 4000
+
 
 class ValveRole(enum.Enum):
     """What a valve is doing when it is actuated.

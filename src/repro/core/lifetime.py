@@ -14,12 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SynthesisError
+from repro.architecture.valve import DEFAULT_WEAR_BUDGET
 from repro.baseline.valve_count import TraditionalDesign
 from repro.core.result import SynthesisResult
-
-#: Reliable actuations before a valve wears out — the order of
-#: magnitude of the paper's citation [4] ("a few thousand times").
-DEFAULT_WEAR_BUDGET: int = 4000
 
 
 @dataclass(frozen=True)

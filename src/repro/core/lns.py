@@ -58,16 +58,12 @@ class LargeNeighborhoodSearch:
         spec: MappingSpec,
         *,
         seed: int = 0,
-        destroy_cap: int = _DESTROY_CAP,
-        extra_destroy: int = _EXTRA_DESTROY,
     ) -> None:
         self.spec = spec
         self.ordered: List[MappingTask] = sorted(
             spec.tasks, key=lambda t: (t.start, t.name)
         )
         self.rng = random.Random(seed)
-        self.destroy_cap = max(1, destroy_cap)
-        self.extra_destroy = max(0, extra_destroy)
 
     # -- destroy ---------------------------------------------------------
 
@@ -89,18 +85,16 @@ class LargeNeighborhoodSearch:
             and target in placements[task.name].pump_cells()
         ]
         self.rng.shuffle(culprits)
-        chosen = culprits[: self.destroy_cap]
+        chosen = culprits[:_DESTROY_CAP]
         chosen_names = {t.name for t in chosen}
         extras = [
             task
             for task in self.ordered
             if task.name in placements and task.name not in chosen_names
         ]
-        if extras and self.extra_destroy:
+        if extras:
             chosen.extend(
-                self.rng.sample(
-                    extras, min(self.extra_destroy, len(extras))
-                )
+                self.rng.sample(extras, min(_EXTRA_DESTROY, len(extras)))
             )
         # Window order matters to the greedy repair: keep start order.
         chosen.sort(key=lambda t: (t.start, t.name))

@@ -45,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SolverError, SynthesisError, WorkerCrashError
 from repro.geometry import Point
-from repro.architecture.device import Placement
+from repro.architecture.device import DynamicDevice, Placement
 from repro.ilp.solution import SolveStatus
 from repro.obs import TELEMETRY
 from repro.resilience import Deadline, DegradationLadder
@@ -223,8 +223,6 @@ def window_subspec(
     (:mod:`repro.core.lns`), which re-places a destroyed task set
     against everything it kept.
     """
-    from repro.architecture.device import DynamicDevice
-
     fixed: Dict[str, DynamicDevice] = dict(spec.fixed)
     base_load: Dict[Point, int] = dict(spec.base_load)
     window_names = {t.name for t in window}
@@ -232,13 +230,7 @@ def window_subspec(
         placement = placements.get(task.name)
         if placement is None or task.name in window_names:
             continue
-        fixed[task.name] = DynamicDevice(
-            operation=task.name,
-            placement=placement,
-            start=task.start,
-            end=task.end,
-            mix_start=task.mix_start,
-        )
+        fixed[task.name] = task.device(placement)
         for cell in placement.pump_cells():
             base_load[cell] = base_load.get(cell, 0) + task.pump_rate
     return MappingSpec(
@@ -1188,8 +1180,6 @@ class GreedyMapper(BaseMapper):
         # The greedy balancer is itself the bottom of the ladder: it
         # never degrades further, and one placement sweep is far below
         # any sane budget, so the deadline is accepted but not polled.
-        from repro.architecture.device import DynamicDevice
-
         start_time = time.monotonic()
         ordered = sorted(spec.tasks, key=lambda t: (t.start, t.name))
         committed: Dict[str, DynamicDevice] = dict(spec.fixed)
@@ -1256,13 +1246,7 @@ class GreedyMapper(BaseMapper):
             chosen, chosen_overlaps = best[tier], best_overlaps[tier]
             placements[task.name] = chosen
             overlaps.extend(chosen_overlaps)
-            committed[task.name] = DynamicDevice(
-                operation=task.name,
-                placement=chosen,
-                start=task.start,
-                end=task.end,
-                mix_start=task.mix_start,
-            )
+            committed[task.name] = task.device(chosen)
             for cell in chosen.pump_cells():
                 base_load[cell] = base_load.get(cell, 0) + task.pump_rate
 

@@ -16,10 +16,12 @@ chip life than repeating one layout (quantified by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from itertools import islice
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import SynthesisError
 from repro.geometry import Point
+from repro.architecture.device import Placement
 from repro.assay.schedule import Schedule
 from repro.assay.sequencing_graph import SequencingGraph
 from repro.core.lifetime import DEFAULT_WEAR_BUDGET
@@ -27,7 +29,7 @@ from repro.core.mappers import GreedyMapper
 from repro.core.mapping_model import MappingSpec
 from repro.core.storage import StoragePlan
 from repro.core.synthesis import SynthesisConfig
-from repro.core.tasks import build_tasks
+from repro.core.tasks import MappingTask, build_tasks
 
 
 @dataclass
@@ -61,27 +63,23 @@ class RepetitionPlan:
     _rates: Dict[str, int] = None  # type: ignore[assignment]
 
 
-def plan_repetitions(
+def _leveled_runs(
     graph: SequencingGraph,
     schedule: Schedule,
     config: SynthesisConfig,
-    runs: int,
-) -> RepetitionPlan:
-    """Plan ``runs`` executions with run-to-run wear leveling.
+    tasks: List[MappingTask],
+) -> Iterator[Tuple[Dict[str, Placement], Dict[Point, int]]]:
+    """Endless wear-leveled runs: each run's placements and the
+    accumulated pump load after it.
 
-    Each run maps the same tasks, but with all previous runs' pump wear
-    as base load; the greedy balancer (fast, deterministic) then prefers
+    Each run maps the same tasks with all previous runs' pump wear as
+    base load; the greedy balancer (fast, deterministic) then prefers
     fresh valves, rotating the layout around the grid.
     """
-    if runs < 1:
-        raise SynthesisError("need at least one run")
-    tasks = build_tasks(graph, schedule)
     storage_plan = StoragePlan(graph, schedule)
     mapper = GreedyMapper()
-
     load: Dict[Point, int] = {}
-    all_runs: List[Dict[str, object]] = []
-    for _ in range(runs):
+    while True:
         spec = MappingSpec(
             grid=config.grid,
             tasks=tasks,
@@ -96,12 +94,29 @@ def plan_repetitions(
         if violations:
             spec.forbidden_overlaps |= violations
             result = mapper.map_tasks(spec)
-        all_runs.append(result.placements)
+        load = dict(load)
         for task in tasks:
             for cell in result.placements[task.name].pump_cells():
                 load[cell] = load.get(cell, 0) + task.pump_rate
+        yield result.placements, load
 
-    plan = RepetitionPlan(runs=all_runs, load=load)
+
+def plan_repetitions(
+    graph: SequencingGraph,
+    schedule: Schedule,
+    config: SynthesisConfig,
+    runs: int,
+) -> RepetitionPlan:
+    """Plan ``runs`` executions with run-to-run wear leveling."""
+    if runs < 1:
+        raise SynthesisError("need at least one run")
+    tasks = build_tasks(graph, schedule)
+    planned = list(
+        islice(_leveled_runs(graph, schedule, config, tasks), runs)
+    )
+    plan = RepetitionPlan(
+        runs=[placements for placements, _ in planned], load=planned[-1][1]
+    )
     plan._rates = {t.name: t.pump_rate for t in tasks}
     return plan
 
@@ -117,31 +132,10 @@ def leveled_lifetime(
     run-to-run leveling.  Compare against
     :func:`repro.core.lifetime.synthesis_lifetime` (fixed layout)."""
     tasks = build_tasks(graph, schedule)
-    storage_plan = StoragePlan(graph, schedule)
-    mapper = GreedyMapper()
-    load: Dict[Point, int] = {}
     completed = 0
-    while completed < max_runs:
-        spec = MappingSpec(
-            grid=config.grid,
-            tasks=tasks,
-            base_load=dict(load),
-            anchor_stride=config.anchor_stride,
-            distance_limit=config.distance_limit,
-            routing_convenient=config.routing_convenient,
-            allow_storage_overlap=config.allow_storage_overlap,
-        )
-        result = mapper.map_tasks(spec)
-        violations = storage_plan.overlap_violations(result.placements)
-        if violations:
-            spec.forbidden_overlaps |= violations
-            result = mapper.map_tasks(spec)
-        new_load = dict(load)
-        for task in tasks:
-            for cell in result.placements[task.name].pump_cells():
-                new_load[cell] = new_load.get(cell, 0) + task.pump_rate
-        if max(new_load.values(), default=0) > wear_budget:
+    runs = _leveled_runs(graph, schedule, config, tasks)
+    for _, load in islice(runs, max_runs):
+        if max(load.values(), default=0) > wear_budget:
             break
-        load = new_load
         completed += 1
     return completed

@@ -2,13 +2,17 @@
 
 Resilience (DESIGN.md §9): ``SynthesisConfig.time_budget`` turns into a
 :class:`repro.resilience.Deadline` that bounds the whole run — the
-mapping stage gets ``mapping_budget_fraction`` of it (propagated into
-every window/ILP solver time limit), routing keeps the remainder (the
-rip-up loop polls the parent deadline).  Stage failures descend the
+mapping stage gets :data:`MAPPING_BUDGET_FRACTION` of it (propagated
+into every window/ILP solver time limit), routing keeps the remainder
+(the rip-up loop polls the parent deadline).  Stage failures descend the
 :class:`repro.resilience.DegradationLadder` instead of aborting; every
 rung taken is recorded in the :class:`ResilienceReport` attached to
 ``SynthesisResult.resilience``, and a degraded run emits one
 :class:`DegradedResultWarning`.
+
+The back half of Algorithm 1 — devices, routing, actuation accounting
+(L10–L20) — is :func:`realize`, shared with the lifetime engine's
+warm remap (:mod:`repro.resilience.remap`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.errors import (
     CertificationError,
@@ -30,7 +34,7 @@ from repro.geometry import GridSpec
 from repro.assay.schedule import Schedule
 from repro.assay.sequencing_graph import SequencingGraph
 from repro.architecture.chip import Chip
-from repro.architecture.device import DynamicDevice
+from repro.architecture.device import Placement
 from repro.architecture.health import ChipHealth
 from repro.architecture.port import ChipPort
 from repro.core.actuation import AccountingPolicy, ActuationAccountant
@@ -40,6 +44,7 @@ from repro.core.mappers import (
     BaseMapper,
     GreedyMapper,
     ILPMapper,
+    MappingResult,
     WindowedILPMapper,
 )
 from repro.core.mapping_model import MappingSpec, Pair
@@ -54,6 +59,14 @@ from repro.resilience import (
     WorkerSupervisor,
 )
 from repro.routing.router import Router, RoutingContext
+
+#: share of the remaining budget the mapping stage may spend; the rest
+#: is kept back for routing and actuation accounting.
+MAPPING_BUDGET_FRACTION = 0.85
+
+#: Algorithm 1's storage-repair loop (L4-L9) gives up after this many
+#: map-and-check rounds.
+MAX_ALGORITHM_ITERATIONS = 25
 
 
 @dataclass
@@ -76,17 +89,12 @@ class SynthesisConfig:
     routing_convenient: bool = True
     allow_storage_overlap: bool = True
     ilp_task_limit: int = 8
-    ilp_backend: str = "scipy"
     window_size: int = 5
-    max_algorithm_iterations: int = 25
     #: whole-run wall-clock budget in seconds (None = unbounded).  The
     #: budget covers mapping, storage repair and routing together; when
     #: it runs short the pipeline degrades (greedy windows, relaxed
     #: routing) instead of overrunning.
     time_budget: Optional[float] = None
-    #: share of the remaining budget the mapping stage may spend; the
-    #: rest is kept back for routing and actuation accounting.
-    mapping_budget_fraction: float = 0.85
     #: certification level (DESIGN.md §10): ``"off"`` (default),
     #: ``"audit"`` (attach an :class:`~repro.certify.AuditReport` to the
     #: result), or ``"strict"`` (additionally raise
@@ -122,16 +130,14 @@ class SynthesisConfig:
             # degrades to the best certified incumbent instead of a
             # lost solve.  The tier picks its own lane backends —
             # incumbent injection needs the pure-python branch & bound;
-            # ``ilp_backend`` keeps governing the non-anytime mappers.
+            # the non-anytime mappers solve with HiGHS.
             return AnytimeMapper(
                 ilp_task_limit=self.ilp_task_limit,
                 window_size=self.window_size,
             )
         if n_tasks <= self.ilp_task_limit:
-            return ILPMapper(backend=self.ilp_backend)
-        return WindowedILPMapper(
-            window_size=self.window_size, backend=self.ilp_backend
-        )
+            return ILPMapper(backend="scipy")
+        return WindowedILPMapper(window_size=self.window_size)
 
 
 class ReliabilitySynthesizer:
@@ -161,7 +167,7 @@ class ReliabilitySynthesizer:
         config = self.config
         forbidden: Set[Pair] = set()
         iterations = 0
-        while iterations < config.max_algorithm_iterations:
+        while iterations < MAX_ALGORITHM_ITERATIONS:
             iterations += 1
             spec = MappingSpec(
                 grid=config.grid,
@@ -183,7 +189,7 @@ class ReliabilitySynthesizer:
             forbidden |= fresh
         raise SynthesisError(
             "storage-overlap repair did not converge within "
-            f"{config.max_algorithm_iterations} iterations"
+            f"{MAX_ALGORITHM_ITERATIONS} iterations"
         )
 
     @staticmethod
@@ -238,7 +244,7 @@ class ReliabilitySynthesizer:
         # routing completely, while the whole run stays within 1.1x the
         # configured budget.
         mapping_deadline = (
-            deadline.sub(config.mapping_budget_fraction)
+            deadline.sub(MAPPING_BUDGET_FRACTION)
             if deadline is not None
             else None
         )
@@ -271,8 +277,8 @@ class ReliabilitySynthesizer:
             mapper.supervisor = supervisor
         try:
             return self._synthesize_stages(
-                graph, schedule, chip, tasks, storage_plan, mapper,
-                deadline, mapping_deadline, routing_deadline,
+                graph, chip, tasks, storage_plan, mapper,
+                mapping_deadline, routing_deadline,
                 ladder, report, start_time,
             )
         finally:
@@ -285,12 +291,10 @@ class ReliabilitySynthesizer:
     def _synthesize_stages(
         self,
         graph: SequencingGraph,
-        schedule: Schedule,
         chip: Chip,
         tasks: List[MappingTask],
         storage_plan: StoragePlan,
         mapper: BaseMapper,
-        deadline: Optional[Deadline],
         mapping_deadline: Optional[Deadline],
         routing_deadline: Optional[Deadline],
         ladder: DegradationLadder,
@@ -321,10 +325,10 @@ class ReliabilitySynthesizer:
         )
         attempts = [port_cells, port_areas, port_areas | boundary]
         try:
-            mapping, iterations, devices, routes = self._pipeline_with_grace(
-                graph, schedule, chip, tasks, storage_plan, mapper,
-                attempts, config.routing_convenient,
-                routing_deadline, mapping_deadline, ladder,
+            result = self._pipeline_with_grace(
+                chip, tasks, storage_plan, mapper, attempts,
+                config.routing_convenient,
+                routing_deadline, mapping_deadline, ladder, start_time,
             )
         except RoutingError as error:
             if not config.routing_convenient:
@@ -339,12 +343,9 @@ class ReliabilitySynthesizer:
                 "routing", DegradationLadder.ROUTING_RELAXED, str(error)
             )
             try:
-                mapping, iterations, devices, routes = (
-                    self._pipeline_with_grace(
-                        graph, schedule, chip, tasks, storage_plan,
-                        mapper, attempts, False,
-                        routing_deadline, mapping_deadline, ladder,
-                    )
+                result = self._pipeline_with_grace(
+                    chip, tasks, storage_plan, mapper, attempts, False,
+                    routing_deadline, mapping_deadline, ladder, start_time,
                 )
             except RoutingError as relaxed_error:
                 raise SynthesisError(
@@ -353,29 +354,7 @@ class ReliabilitySynthesizer:
                     f"{relaxed_error}"
                 )
 
-        # L20 + evaluation: actuation accounting for both settings; the
-        # non-actuated virtual valves simply never appear in the grids.
-        grid1 = ActuationAccountant(
-            config.grid, AccountingPolicy(setting=1)
-        ).run(devices.values(), routes)
-        grid2 = ActuationAccountant(
-            config.grid, AccountingPolicy(setting=2)
-        ).run(devices.values(), routes)
-
-        metrics = SynthesisMetrics(
-            setting1=SettingMetrics(
-                1, grid1.max_total_actuations, grid1.max_peristaltic_actuations
-            ),
-            setting2=SettingMetrics(
-                2, grid2.max_total_actuations, grid2.max_peristaltic_actuations
-            ),
-            used_valves=grid1.used_valve_count,
-            role_changing_valves=len(grid1.role_changing_valves()),
-            mapping_objective=mapping.objective,
-            mapper=mapping.mapper,
-            algorithm_iterations=iterations,
-            wall_time=time.monotonic() - start_time,
-        )
+        result.resilience = report
         if report.degraded:
             warnings.warn(
                 DegradedResultWarning(
@@ -384,18 +363,6 @@ class ReliabilitySynthesizer:
                 ),
                 stacklevel=2,
             )
-        result = SynthesisResult(
-            graph=graph,
-            schedule=schedule,
-            chip=chip,
-            devices=devices,
-            routes=routes,
-            storage_plan=storage_plan,
-            grid_setting1=grid1,
-            grid_setting2=grid2,
-            metrics=metrics,
-            resilience=report,
-        )
         if config.certify != "off":
             from repro.certify import audit as run_audit
 
@@ -409,8 +376,6 @@ class ReliabilitySynthesizer:
 
     def _pipeline_with_grace(
         self,
-        graph: SequencingGraph,
-        schedule: Schedule,
         chip: Chip,
         tasks: List[MappingTask],
         storage_plan: StoragePlan,
@@ -420,7 +385,8 @@ class ReliabilitySynthesizer:
         routing_deadline: Optional[Deadline],
         mapping_deadline: Optional[Deadline],
         ladder: Optional[DegradationLadder],
-    ) -> Tuple:
+        start_time: float,
+    ) -> SynthesisResult:
         """:meth:`_attempt_pipeline`, absorbing a routing budget overrun.
 
         Routing cannot return a partial result, so when even the 1.1x
@@ -432,9 +398,9 @@ class ReliabilitySynthesizer:
         """
         try:
             return self._attempt_pipeline(
-                graph, schedule, chip, tasks, storage_plan, mapper,
-                attempts, routing_convenient,
-                routing_deadline, mapping_deadline, ladder,
+                chip, tasks, storage_plan, mapper, attempts,
+                routing_convenient,
+                routing_deadline, mapping_deadline, ladder, start_time,
             )
         except TimeLimitError as error:
             if ladder is not None:
@@ -442,15 +408,13 @@ class ReliabilitySynthesizer:
                     "routing", DegradationLadder.ROUTING_OVERRUN, str(error)
                 )
             return self._attempt_pipeline(
-                graph, schedule, chip, tasks, storage_plan, mapper,
-                attempts, routing_convenient,
-                None, mapping_deadline, ladder,
+                chip, tasks, storage_plan, mapper, attempts,
+                routing_convenient,
+                None, mapping_deadline, ladder, start_time,
             )
 
     def _attempt_pipeline(
         self,
-        graph: SequencingGraph,
-        schedule: Schedule,
         chip: Chip,
         tasks: List[MappingTask],
         storage_plan: StoragePlan,
@@ -460,8 +424,9 @@ class ReliabilitySynthesizer:
         routing_deadline: Optional[Deadline],
         mapping_deadline: Optional[Deadline],
         ladder: Optional[DegradationLadder],
-    ) -> Tuple:
-        """Map + route under one routing-convenient setting.
+        start_time: float,
+    ) -> SynthesisResult:
+        """Map, route and account under one routing-convenient setting.
 
         Walks the escalating placement reservations; raises the last
         :class:`RoutingError` when every attempt fails, so the caller
@@ -474,29 +439,73 @@ class ReliabilitySynthesizer:
                     tasks, storage_plan, mapper, blocked,
                     routing_convenient, mapping_deadline, ladder,
                 )
-                devices: Dict[str, DynamicDevice] = {}
-                for task in tasks:
-                    devices[task.name] = DynamicDevice(
-                        operation=task.name,
-                        placement=mapping.placements[task.name],
-                        start=task.start,
-                        end=task.end,
-                        mix_start=task.mix_start,
-                    )
-                # L10-L19: routing.
-                events = build_transport_events(graph, schedule, chip)
-                router = Router(
-                    RoutingContext(
-                        chip=chip,
-                        devices=devices,
-                        free_space=storage_plan.free_space,
-                    ),
-                    deadline=routing_deadline,
+                return realize(
+                    chip, tasks, storage_plan, mapping.placements,
+                    mapping, iterations, start_time, routing_deadline,
                 )
-                routes = router.route_all(events)
-                return mapping, iterations, devices, routes
             except RoutingError as error:
                 last_error = error
         raise last_error if last_error is not None else RoutingError(
             "no placement reservation attempts were made"
         )
+
+
+def realize(
+    chip: Chip,
+    tasks: List[MappingTask],
+    storage_plan: StoragePlan,
+    placements: Dict[str, Placement],
+    mapping: MappingResult,
+    iterations: int,
+    start_time: float,
+    deadline: Optional[Deadline] = None,
+) -> SynthesisResult:
+    """Algorithm 1 L10-L20: devices, routing and actuation accounting.
+
+    Builds each task's device at ``placements[task.name]``, routes every
+    transport (raising :class:`RoutingError`, or :class:`TimeLimitError`
+    when ``deadline`` expires mid-route) and accounts both settings; the
+    non-actuated virtual valves simply never appear in the grids.  The
+    metrics take their mapper name and objective from ``mapping``.
+    """
+    devices = {task.name: task.device(placements[task.name]) for task in tasks}
+    events = build_transport_events(
+        storage_plan.graph, storage_plan.schedule, chip
+    )
+    routes = Router(
+        RoutingContext(
+            chip=chip, devices=devices, free_space=storage_plan.free_space
+        ),
+        deadline=deadline,
+    ).route_all(events)
+    grid1 = ActuationAccountant(
+        chip.spec, AccountingPolicy(setting=1)
+    ).run(devices.values(), routes)
+    grid2 = ActuationAccountant(
+        chip.spec, AccountingPolicy(setting=2)
+    ).run(devices.values(), routes)
+    metrics = SynthesisMetrics(
+        setting1=SettingMetrics(
+            1, grid1.max_total_actuations, grid1.max_peristaltic_actuations
+        ),
+        setting2=SettingMetrics(
+            2, grid2.max_total_actuations, grid2.max_peristaltic_actuations
+        ),
+        used_valves=grid1.used_valve_count,
+        role_changing_valves=len(grid1.role_changing_valves()),
+        mapping_objective=mapping.objective,
+        mapper=mapping.mapper,
+        algorithm_iterations=iterations,
+        wall_time=time.monotonic() - start_time,
+    )
+    return SynthesisResult(
+        graph=storage_plan.graph,
+        schedule=storage_plan.schedule,
+        chip=chip,
+        devices=devices,
+        routes=routes,
+        storage_plan=storage_plan,
+        grid_setting1=grid1,
+        grid_setting2=grid2,
+        metrics=metrics,
+    )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import SynthesisError
+from repro.architecture.device import DynamicDevice, Placement
 from repro.assay.schedule import Schedule
 from repro.assay.sequencing_graph import SequencingGraph
 from repro.core.rates import pump_rate_setting1
@@ -50,6 +51,16 @@ class MappingTask:
     def overlaps_in_time(self, other: "MappingTask") -> bool:
         """Whether the two device lifetimes intersect (eq. 3 applies)."""
         return self.start < other.end and other.start < self.end
+
+    def device(self, placement: Placement) -> DynamicDevice:
+        """The dynamic device realizing this task at ``placement``."""
+        return DynamicDevice(
+            operation=self.name,
+            placement=placement,
+            start=self.start,
+            end=self.end,
+            mix_start=self.mix_start,
+        )
 
 
 def build_tasks(graph: SequencingGraph, schedule: Schedule) -> List[MappingTask]:

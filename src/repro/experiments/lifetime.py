@@ -156,44 +156,13 @@ def _print_report(tag: str, data: dict) -> None:
 
 def main(
     case_name: str,
-    policy_index: int = 1,
-    mapper: str = "auto",
-    grid: Optional[int] = None,
-    wear_budget: Optional[int] = None,
-    valve_fail_prob: float = 0.0,
-    edge_fail_prob: float = 0.0,
-    wear_acceleration: float = 0.0,
-    seed: int = 0,
-    max_runs: int = 200,
-    mode: str = "compare",
-    remap_budget: Optional[float] = None,
-    max_attempts: int = 3,
-    preventive_horizon: Optional[int] = 1,
-    warm_start: bool = True,
-    faults: Optional[List[str]] = None,
-    faults_seed: int = 0,
+    *,
     json_path: Optional[str] = None,
     show_events: bool = False,
+    **options,
 ) -> int:
-    payload = run_lifetime(
-        case_name,
-        policy_index=policy_index,
-        mapper=mapper,
-        grid=grid,
-        wear_budget=wear_budget,
-        valve_fail_prob=valve_fail_prob,
-        edge_fail_prob=edge_fail_prob,
-        wear_acceleration=wear_acceleration,
-        seed=seed,
-        max_runs=max_runs,
-        mode=mode,
-        remap_budget=remap_budget,
-        max_attempts=max_attempts,
-        preventive_horizon=preventive_horizon,
-        warm_start=warm_start,
-        faults=faults,
-        faults_seed=faults_seed,
-    )
+    """Print one :func:`run_lifetime` report; ``options`` go to it."""
+    payload = run_lifetime(case_name, **options)
     budget = None
     for key in ("adaptive", "static"):
         if key in payload:

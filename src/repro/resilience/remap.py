@@ -27,7 +27,7 @@ remaining lifetime around it:
   later attempts fall back to a full re-synthesis with the health mask
   under a per-remap :class:`~repro.resilience.deadline.Deadline` whose
   budget backs off geometrically; the existing degradation ladder runs
-  inside each attempt;
+  inside each full attempt;
 * **the oracle** — every remapped generation must pass
   :func:`repro.core.simulation.simulate` and the independent
   :func:`repro.certify.audit` (which rejects any design touching dead
@@ -56,13 +56,9 @@ from repro.errors import (
 from repro.geometry import Point
 from repro.architecture.channel_edges import ChannelEdge
 from repro.architecture.health import ChipHealth
+from repro.architecture.valve import DEFAULT_WEAR_BUDGET
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import FAULTS
-
-#: mirrors :data:`repro.core.lifetime.DEFAULT_WEAR_BUDGET` ("a few
-#: thousand" reliable actuations); imported lazily to keep this module
-#: import-light (see the package ``__getattr__``).
-DEFAULT_WEAR_BUDGET = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -651,28 +647,22 @@ class AdaptiveLifetimeEngine:
         """Incremental remap: keep unaffected devices, re-solve the rest.
 
         Only placements whose footprint the new mask blocks are
-        re-mapped; everything else stays exactly where it was (fixed
+        re-mapped, as a :func:`~repro.core.mappers.window_subspec`
+        sub-problem: everything else stays exactly where it was (fixed
         devices with their pump load as ``base_load``).  Routing and
-        actuation accounting always rerun in full — routes are global.
+        actuation accounting always rerun in full through
+        :func:`~repro.core.synthesis.realize` — routes are global.
         Raises :class:`SynthesisError` when the warm start is degenerate
         (nothing or everything affected) or the storage plan rejects the
         combined placements; the caller then falls back to a full
         re-synthesis.
         """
         from repro.architecture.chip import Chip
-        from repro.architecture.device import DynamicDevice
-        from repro.core.actuation import AccountingPolicy, ActuationAccountant
-        from repro.core.events import build_transport_events
-        from repro.core.mappers import GreedyMapper, ILPMapper
+        from repro.core.mappers import GreedyMapper, ILPMapper, window_subspec
         from repro.core.mapping_model import MappingSpec
-        from repro.core.result import (
-            SettingMetrics,
-            SynthesisMetrics,
-            SynthesisResult,
-        )
         from repro.core.storage import StoragePlan
+        from repro.core.synthesis import realize
         from repro.core.tasks import build_tasks
-        from repro.routing.router import Router, RoutingContext
 
         started = time.monotonic()
         config = self.config
@@ -689,48 +679,32 @@ class AdaptiveLifetimeEngine:
         if len(affected) == len(tasks):
             raise SynthesisError("every device is affected; warm start moot")
 
-        affected_names = {t.name for t in affected}
-        fixed: Dict[str, DynamicDevice] = {}
-        base_load: Dict[Point, int] = dict(wear) if wear else {}
-        for task in tasks:
-            if task.name in affected_names:
-                continue
-            device = previous.devices[task.name]
-            fixed[task.name] = device
-            if task.pump_rate:
-                for cell in device.placement.pump_cells():
-                    base_load[cell] = base_load.get(cell, 0) + task.pump_rate
-
         chip = Chip(config.grid, config.ports, health)
-        port_cells = frozenset(p.position for p in chip.ports.values())
-        spec = MappingSpec(
+        whole = MappingSpec(
             grid=config.grid,
-            tasks=affected,
-            fixed=fixed,
-            base_load=base_load,
-            blocked_cells=port_cells,
+            tasks=tasks,
+            base_load=dict(wear) if wear else {},
+            blocked_cells=frozenset(p.position for p in chip.ports.values()),
             anchor_stride=config.anchor_stride,
             distance_limit=config.distance_limit,
             routing_convenient=config.routing_convenient,
             allow_storage_overlap=config.allow_storage_overlap,
-            parent_pairs={
-                (parent, task.name)
-                for task in tasks
-                for parent in task.mix_parents
-            },
             health=health,
         )
+        placements = {
+            name: device.placement for name, device in previous.devices.items()
+        }
+        spec = window_subspec(whole, affected, tasks, placements)
         deadline = Deadline(budget) if budget is not None else None
         mapper = (
-            ILPMapper(backend=config.ilp_backend)
+            ILPMapper(backend="scipy")
             if len(affected) <= config.ilp_task_limit
             else GreedyMapper()
         )
         mapping = mapper.map_tasks(spec, deadline=deadline)
+        for task in affected:
+            placements[task.name] = mapping.placements[task.name]
 
-        placements = {name: dev.placement for name, dev in fixed.items()}
-        for name in affected_names:
-            placements[name] = mapping.placements[name]
         storage_plan = StoragePlan(self.graph, self.schedule)
         violations = storage_plan.overlap_violations(placements)
         if violations:
@@ -738,58 +712,18 @@ class AdaptiveLifetimeEngine:
                 f"warm start breaks {len(violations)} storage overlap "
                 "permissions; falling back to full re-synthesis"
             )
-
-        devices: Dict[str, DynamicDevice] = {}
-        for task in tasks:
-            devices[task.name] = DynamicDevice(
-                operation=task.name,
-                placement=placements[task.name],
-                start=task.start,
-                end=task.end,
-                mix_start=task.mix_start,
-            )
-        events = build_transport_events(self.graph, self.schedule, chip)
-        router = Router(
-            RoutingContext(
-                chip=chip, devices=devices, free_space=storage_plan.free_space
-            ),
-            deadline=deadline,
+        result = realize(
+            chip, tasks, storage_plan, placements, mapping, 1, started,
+            deadline,
         )
-        routes = router.route_all(events)
-
-        grid1 = ActuationAccountant(
-            config.grid, AccountingPolicy(setting=1)
-        ).run(devices.values(), routes)
-        grid2 = ActuationAccountant(
-            config.grid, AccountingPolicy(setting=2)
-        ).run(devices.values(), routes)
-        metrics = SynthesisMetrics(
-            setting1=SettingMetrics(
-                1, grid1.max_total_actuations, grid1.max_peristaltic_actuations
-            ),
-            setting2=SettingMetrics(
-                2, grid2.max_total_actuations, grid2.max_peristaltic_actuations
-            ),
-            used_valves=grid1.used_valve_count,
-            role_changing_valves=len(grid1.role_changing_valves()),
-            # the realized peak is the honest bound here: the warm solve
-            # optimized only the affected window, not the whole assay
-            mapping_objective=grid1.max_peristaltic_actuations,
+        # the realized peak is the honest bound here: the warm solve
+        # optimized only the affected window, not the whole assay
+        result.metrics = replace(
+            result.metrics,
+            mapping_objective=result.grid_setting1.max_peristaltic_actuations,
             mapper=f"warm+{mapping.mapper}",
-            algorithm_iterations=1,
-            wall_time=time.monotonic() - started,
         )
-        return SynthesisResult(
-            graph=self.graph,
-            schedule=self.schedule,
-            chip=chip,
-            devices=devices,
-            routes=routes,
-            storage_plan=storage_plan,
-            grid_setting1=grid1,
-            grid_setting2=grid2,
-            metrics=metrics,
-        )
+        return result
 
     # -- the oracle --------------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SynthesisError
 from repro.geometry import GridSpec, Point
 from repro.architecture.channel_edges import ChannelEdge
+from repro.architecture.health import ChipHealth
 from repro.core.mappers import GreedyMapper
 from repro.core.synthesis import ReliabilitySynthesizer, SynthesisConfig
 from repro.resilience import (
@@ -177,6 +178,50 @@ class TestAdaptiveEngine:
         assert all(
             set(e) == {"run", "kind", "detail"} for e in payload["events"]
         )
+
+
+class TestWarmRemap:
+    """Attempt 0 of a remap: only the device over the dead cell moves."""
+
+    # hit device -> (setting-1 max(peristaltic), setting-2 max(peristaltic),
+    # used valves, mapping objective), for the ILP layout on 10x10
+    PINNED = {
+        "a": ((44, 40), (19, 15), 45, 40),
+        "b": ((44, 40), (19, 15), 39, 40),
+        "c": ((43, 40), (18, 15), 46, 40),
+    }
+
+    @pytest.fixture(scope="class")
+    def previous(self, tiny):
+        graph, schedule = tiny
+        config = SynthesisConfig(grid=GridSpec(10, 10))
+        return ReliabilitySynthesizer(config).synthesize(graph, schedule)
+
+    @pytest.mark.parametrize("hit", sorted(PINNED))
+    def test_moves_only_the_hit_device(self, tiny, previous, hit):
+        graph, schedule = tiny
+        engine = AdaptiveLifetimeEngine(
+            graph, schedule, SynthesisConfig(grid=GridSpec(10, 10))
+        )
+        dead = sorted(previous.devices[hit].placement.pump_cells())[0]
+        health = ChipHealth.healthy().kill_cells([dead])
+        result = engine._warm_remap(previous, health, None)
+
+        metrics = result.metrics
+        assert metrics.mapper == "warm+ilp"
+        assert metrics.algorithm_iterations == 1
+        assert result.resilience is None
+        for name, device in result.devices.items():
+            moved = device.placement != previous.devices[name].placement
+            assert moved == (name == hit), name
+        assert engine._validate(result) is None
+        s1, s2, used, objective = self.PINNED[hit]
+        assert (metrics.setting1.max_total,
+                metrics.setting1.max_peristaltic) == s1
+        assert (metrics.setting2.max_total,
+                metrics.setting2.max_peristaltic) == s2
+        assert metrics.used_valves == used
+        assert metrics.mapping_objective == objective
 
 
 class TestChaosInjection:
