@@ -80,7 +80,7 @@ def _warmup() -> None:
 
 def run_probe_race(case_name: str, n_tasks: int, stride: int) -> Dict:
     """One probe: ILP alone (timed) vs the anytime race (budgeted)."""
-    from repro.core.anytime import AnytimeMapper
+    from repro.core.anytime import AnytimeMapper, race_winner
     from repro.core.mappers import ILPMapper
     from repro.resilience import Deadline
 
@@ -103,9 +103,7 @@ def run_probe_race(case_name: str, n_tasks: int, stride: int) -> Dict:
         "ilp_wall_seconds": round(ilp_wall, 6),
         "race_objective": race.objective,
         "race_optimal": race.optimal,
-        "race_winner": (
-            "heuristic" if stats.get("race_winner_heuristic") else "exact"
-        ),
+        "race_winner": race_winner(stats),
         "first_feasible_seconds": round(
             stats.get("first_feasible_seconds", float("nan")), 6
         ),
@@ -123,7 +121,7 @@ def run_probe_race(case_name: str, n_tasks: int, stride: int) -> Dict:
 
 def run_first_feasible() -> Dict:
     """The full PCR mapping problem: how fast is a usable answer?"""
-    from repro.core.anytime import AnytimeMapper
+    from repro.core.anytime import AnytimeMapper, race_winner
     from repro.resilience import Deadline
 
     race = AnytimeMapper(seed=0).map_tasks(
@@ -141,9 +139,7 @@ def run_first_feasible() -> Dict:
         ),
         "objective": race.objective,
         "offers_certified": stats.get("offers_certified", 0.0),
-        "race_winner": (
-            "heuristic" if stats.get("race_winner_heuristic") else "exact"
-        ),
+        "race_winner": race_winner(stats),
     }
 
 
@@ -237,7 +233,7 @@ def main(argv=None) -> int:
     for case_name, entry in report["probes"].items():
         print(
             f"  {case_name}: race {entry['race_objective']} "
-            f"({entry['race_winner']} lane) vs ILP "
+            f"(won by {entry['race_winner']}) vs ILP "
             f"{entry['ilp_objective']} in {entry['ilp_wall_seconds']:.3f}s;"
             f" certified at {entry['seconds_to_best_certified']:.3f}s"
         )

@@ -29,7 +29,14 @@ this thread, and the rolling-horizon :class:`WindowedILPMapper` runs
 after them only with no deadline or no packer start (under a deadline
 its HiGHS windows never answered in time).
 
-Either way the best objective is adopted; ties go to the exact answer,
+Either scope ends as soon as its answer is proven: no mapping's peak is
+below :meth:`MappingSpec.peak_floor` (the largest pump rate or base
+load), so an incumbent at the floor is optimal — a certified offer in
+the race, an LNS ledger peak in the windowed scope.  A packer answer at
+the floor starts no exact lane; an LNS answer at the floor stops LNS
+and closes the pool, and the exact lane returns at its next poll.
+
+Otherwise the best objective is adopted; ties go to the exact answer,
 which also carries an optimality status.  A heuristic win engages the
 ``anytime_heuristic`` resilience rung: the answer is feasible with a
 known objective, just not proven optimal.
@@ -63,13 +70,6 @@ from repro.core.mappers import (
     WindowedILPMapper,
 )
 from repro.core.tasks import MappingTask
-
-#: Seconds granted to the exact thread after the race ends to notice
-#: its own time limit and return (it is abandoned past this).  The
-#: solvers poll their deadline inside the LP pivot loops, so the lane
-#: usually lands within milliseconds of its limit; the branch & bound's
-#: root cut separation does not poll and can overrun the grace.
-_JOIN_GRACE = 0.25
 
 #: LNS round cap when no deadline bounds the race (the exact lane then
 #: runs to optimality anyway).
@@ -169,6 +169,7 @@ class AnytimeMapper(BaseMapper):
         built = MappingModelBuilder(spec).build()
         model = built.model
         pool = IncumbentPool()
+        floor = spec.peak_floor()
         # Incumbent injection needs an in-process branch & bound; a
         # supervised exact lane solves in a subprocess, so the pool
         # degrades to a scoreboard (offers are noted, not injected).
@@ -188,7 +189,8 @@ class AnytimeMapper(BaseMapper):
         from repro.certify import certify_assignment
 
         def offer(placements: Dict[str, Placement], source: str) -> None:
-            """Complete → check → certify → inject one incumbent."""
+            """Complete → check → certify → inject one incumbent; one at
+            the floor closes the pool, which ends the race."""
             stats["offers_made"] += 1
             values = complete_solution(built, placements)
             if values is None:
@@ -210,10 +212,14 @@ class AnytimeMapper(BaseMapper):
                 pool.offer(x, objective, source=source)
             else:
                 pool.note("offer", source, objective)
-            _keep_best(best, placements, int(round(values[built.w])), start)
+            peak = int(round(values[built.w]))
+            _keep_best(best, placements, peak, start)
+            if peak <= floor:
+                pool.close()
 
         # 2. The packer's incumbent goes in before the exact lane even
-        #    starts: the branch & bound sees it at the root.
+        #    starts: the branch & bound sees it at the root.  At the
+        #    floor it is optimal, and the lane never starts.
         if greedy is not None:
             stats["first_feasible_seconds"] = first_feasible
             placements = dict(greedy.placements)
@@ -234,19 +240,25 @@ class AnytimeMapper(BaseMapper):
                 backend="branch_bound", incumbent=pool
             ).solve_built(built, limit)
 
-        def heuristic(should_stop: Callable[[], bool]) -> None:
-            # 3. LNS rounds until the budget runs out or the exact lane
-            #    is done (its answer dominates every further round).
+        def heuristic(lane_done: Callable[[], bool]) -> None:
+            # 3. LNS rounds until the budget runs out, an offer meets
+            #    the floor, or the exact lane is done (its answer
+            #    dominates every further round).
             if greedy is not None:
                 stats.update(self._improve(
                     spec, placements, deadline,
                     lambda snapshot, peak: offer(snapshot, "lns"),
-                    should_stop,
+                    lambda: pool.closed or lane_done(),
                 ))
 
-        exact, error = _run_lanes(solve_exact, heuristic, deadline, ladder, stats)
+        exact: Optional[MappingResult] = None
+        error: Optional[Exception] = None
+        if not pool.closed:
+            exact, error = _run_lanes(solve_exact, heuristic, deadline, ladder)
         stats["race_timeline"] = pool.timeline_snapshot()
-        return self._adopt(spec, stats, best, exact, error, ladder, start)
+        return self._adopt(
+            spec, stats, best, exact, error, ladder, start, pool.closed
+        )
 
     def _map_windowed(
         self,
@@ -257,10 +269,13 @@ class AnytimeMapper(BaseMapper):
         """Beyond ``ilp_task_limit``: packer, then LNS, in this thread.
 
         No completion/injection here: LNS tracks its incumbents by
-        ledger peak.  The rolling-horizon mapper runs only where it can
-        still answer — with no deadline, or with no packer start.
+        ledger peak and stops at the floor.  The rolling-horizon mapper
+        runs only where it can still answer and is still needed — with
+        no deadline, or with no packer start, and no answer at the
+        floor.
         """
         start = time.monotonic()
+        floor = spec.peak_floor()
         stats: Dict[str, float] = {"injectable": 0.0}
         best: Dict[str, object] = {}
         exact: Optional[MappingResult] = None
@@ -276,15 +291,19 @@ class AnytimeMapper(BaseMapper):
             stats.update(self._improve(
                 spec, placements, deadline,
                 lambda snap, peak: _keep_best(best, snap, peak, start),
+                lambda: best["peak"] <= floor,
             ))
-        if greedy is None or deadline is None:
+        proven = bool(best) and best["peak"] <= floor
+        if not proven and (greedy is None or deadline is None):
             try:
                 exact = self._crash_safe(
                     WindowedILPMapper(window_size=self.window_size)
                 ).map_tasks(spec, deadline=deadline, ladder=ladder)
             except ReproError as exc:
                 error = exc
-        return self._adopt(spec, stats, best, exact, error, ladder, start)
+        return self._adopt(
+            spec, stats, best, exact, error, ladder, start, proven
+        )
 
     # -- shared by both scopes -------------------------------------------
 
@@ -294,7 +313,7 @@ class AnytimeMapper(BaseMapper):
         placements: Dict[str, Placement],
         deadline: Optional[Deadline],
         on_improve: Callable[[Dict[str, Placement], int], None],
-        should_stop: Optional[Callable[[], bool]] = None,
+        should_stop: Callable[[], bool],
     ) -> Dict[str, float]:
         """The LNS rounds of the heuristic lane; ``placements`` in place."""
         return LargeNeighborhoodSearch(spec, seed=self.seed).run(
@@ -315,13 +334,16 @@ class AnytimeMapper(BaseMapper):
         error: Optional[Exception],
         ladder: Optional[DegradationLadder],
         start: float,
+        proven: bool,
     ) -> MappingResult:
         """Adopt the best objective; ties go to the exact lane.
 
-        The exact lane's ``solver_*`` stats are kept whichever lane
-        wins.  With no answer from either lane the exact lane's own
-        error is re-raised, or a :class:`SynthesisError` when it had
-        none (abandoned at the deadline).
+        ``proven`` means an incumbent met the floor and ended the race:
+        the adopted answer is optimal, the winner is the bound, and no
+        rung engages.  The exact lane's ``solver_*`` stats are kept
+        whichever lane wins.  With no answer from either lane the exact
+        lane's own error is re-raised, or a :class:`SynthesisError` when
+        it had none.
         """
         if exact is not None:
             stats["exact_objective"] = float(exact.objective)
@@ -342,17 +364,14 @@ class AnytimeMapper(BaseMapper):
                 "returned nothing inside the budget and no heuristic "
                 "incumbent was found"
             )
-        stats["race_winner_heuristic"] = float(heuristic_wins)
+        stats["bound_stop"] = float(proven)
+        stats["race_winner_heuristic"] = float(heuristic_wins and not proven)
         if TELEMETRY.enabled:
             TELEMETRY.count("anytime.races")
             TELEMETRY.count(
                 "anytime.lns_rounds", int(stats.get("lns_rounds", 0))
             )
-            TELEMETRY.count(
-                "anytime.race_winner_heuristic"
-                if heuristic_wins
-                else "anytime.race_winner_exact"
-            )
+            TELEMETRY.count(f"anytime.race_winner_{race_winner(stats)}")
         wall = time.monotonic() - start
         if not heuristic_wins:
             merged = dict(exact.stats)
@@ -363,10 +382,10 @@ class AnytimeMapper(BaseMapper):
                 mapper=self.name,
                 used_overlaps=exact.used_overlaps,
                 wall_time=wall,
-                optimal=exact.optimal,
+                optimal=exact.optimal or proven,
                 stats=merged,
             )
-        if ladder is not None:
+        if ladder is not None and not proven:
             ladder.engage(
                 "mapping",
                 DegradationLadder.ANYTIME_HEURISTIC,
@@ -385,9 +404,17 @@ class AnytimeMapper(BaseMapper):
             mapper=self.name,
             used_overlaps=_used_overlaps(spec, ordered, placements),
             wall_time=wall,
-            optimal=False,
+            optimal=proven,
             stats=stats,
         )
+
+
+def race_winner(stats: Dict[str, float]) -> str:
+    """What decided a race, from its result's stats: ``bound`` (an
+    incumbent met the peak floor), ``heuristic`` or ``exact``."""
+    if stats.get("bound_stop"):
+        return "bound"
+    return "heuristic" if stats.get("race_winner_heuristic") else "exact"
 
 
 def _keep_best(
@@ -410,17 +437,15 @@ def _run_lanes(
     heuristic: Callable[[Callable[[], bool]], None],
     deadline: Optional[Deadline],
     ladder: Optional[DegradationLadder],
-    stats: Dict[str, float],
 ) -> Tuple[Optional[MappingResult], Optional[Exception]]:
     """Run the exact lane in its thread while ``heuristic`` runs here.
 
-    ``heuristic`` gets a stop predicate that turns true once the exact
-    lane is done.  The lane solves on a private ladder, and the rungs it
-    engaged up to the join merge into ``ladder`` whether or not it
-    finished: a lost worker happened in this run, but an abandoned
-    thread must not keep appending to the run's report after the race
-    returned.  Returns the lane's result and error (both None when
-    abandoned).
+    ``heuristic`` gets a predicate that turns true once the exact lane
+    is done.  The lane always stops on its own — at its time limit, or
+    when the race closes its incumbent pool (a supervised lane at its
+    watchdog) — so it is joined without a timeout, and the rungs it
+    engaged on its private ladder then merge into ``ladder``.  Returns
+    the lane's result and error.
     """
     slot: Dict[str, object] = {}
     done = threading.Event()
@@ -434,23 +459,13 @@ def _run_lanes(
         finally:
             done.set()
 
-    # Non-daemon on purpose: the lane is deadline-bounded, and a daemon
-    # thread still inside a solver at interpreter shutdown can abort the
-    # whole process.
+    # Non-daemon on purpose: a daemon thread still inside a solver at
+    # interpreter shutdown can abort the whole process.
     thread = threading.Thread(target=exact_lane, name="anytime-exact")
     thread.start()
     heuristic(done.is_set)
-
-    timeout = None
-    if deadline is not None:
-        timeout = deadline.remaining() + _JOIN_GRACE
-    thread.join(timeout)
-    abandoned = thread.is_alive()
-    stats["exact_abandoned"] = float(abandoned)
+    thread.join()
     if ladder is not None:
-        # A snapshot (the lane may still be running); telemetry already
-        # counted when the lane engaged its rungs.
-        ladder.report.events.extend(list(lane_ladder.report.events))
-    if abandoned:
-        return None, None
+        # Telemetry already counted when the lane engaged its rungs.
+        ladder.report.events.extend(lane_ladder.report.events)
     return slot.get("result"), slot.get("error")

@@ -129,6 +129,20 @@ class MappingSpec:
             return (b, a)
         return None
 
+    def peak_floor(self) -> int:
+        """A lower bound on the peak pump load of every mapping.
+
+        Each task's pump ring is non-empty, so some valve's eq. (2) load
+        row carries the task's whole pump rate, and every committed base
+        load stays on its valve (its load row or ``load[committed]``).
+        The anytime race stops at an incumbent that meets this floor.
+        """
+        return max(
+            max((task.pump_rate for task in self.tasks), default=0),
+            max(self.base_load.values(), default=0),
+            0,
+        )
+
     def resolved_distance_limit(self) -> Optional[int]:
         if not self.routing_convenient:
             return None

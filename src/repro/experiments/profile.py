@@ -32,7 +32,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.core.anytime import AnytimeMapper
+from repro.core.anytime import AnytimeMapper, race_winner
 from repro.core.mappers import BaseMapper, GreedyMapper, ILPMapper, WindowedILPMapper
 from repro.errors import ReproError
 
@@ -123,10 +123,7 @@ def _race_probe(case, budget: float) -> dict:
         "wall_seconds": time.perf_counter() - start,
         "objective": result.objective,
         "optimal": result.optimal,
-        "winner": (
-            "heuristic"
-            if stats.get("race_winner_heuristic") else "exact"
-        ),
+        "winner": race_winner(stats),
         "timeline": stats.get("race_timeline", []),
     }
     for key in (
@@ -139,7 +136,6 @@ def _race_probe(case, budget: float) -> dict:
         "offers_made",
         "offers_certified",
         "injectable",
-        "exact_abandoned",
     ):
         if key in stats:
             report[key] = stats[key]

@@ -37,7 +37,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -254,7 +254,7 @@ def _root_cut_loop(
     lp_max_iterations: int,
     certify: str,
     cut_stats: Dict[str, float],
-    deadline: Optional[float] = None,
+    stop: Callable[[], bool],
 ) -> Tuple[
     CompiledModel, np.ndarray, np.ndarray, Optional[Basis], Optional[float]
 ]:
@@ -264,7 +264,9 @@ def _root_cut_loop(
     ``b_ub``, the optimal root basis as a warm-start seed for the root
     node (when the final root solve matches the final arrays), and the
     final root relaxation objective — the proven root bound an injected
-    external incumbent is compared against.
+    external incumbent is compared against.  ``stop()`` is polled before
+    each round and again between separation and certification; a stop
+    keeps whatever rounds already paid off.
     """
     from repro.ilp.cuts import generate_cuts
 
@@ -272,15 +274,15 @@ def _root_cut_loop(
         from repro.certify.cuts import certify_cut
 
     relax = compiled.solve(
-        root_bounds, max_iterations=lp_max_iterations, deadline=deadline
+        root_bounds, max_iterations=lp_max_iterations, stop=stop
     )
     if relax.status is not SolveStatus.OPTIMAL or relax.x is None:
         return compiled, a_ub, b_ub, None, None
     obj = relax.objective
     basis = relax.basis
     for _ in range(_CUT_ROUNDS):
-        if deadline is not None and time.monotonic() > deadline:
-            break  # out of time: keep whatever rounds already paid off
+        if stop():
+            break
         if all(
             abs(relax.x[j] - round(relax.x[j])) <= _INT_TOL
             for j in range(len(root_bounds))
@@ -290,6 +292,8 @@ def _root_cut_loop(
         found = generate_cuts(
             a_ub, b_ub, a_eq, b_eq, root_bounds, integrality, relax, compiled
         )
+        if stop():
+            break
         kept = []
         for cut in found:
             if certify != "off":
@@ -306,7 +310,7 @@ def _root_cut_loop(
         cand_b_ub = np.append(b_ub, [cut.rhs for cut in kept])
         cand_compiled = CompiledModel(c, cand_a_ub, cand_b_ub, a_eq, b_eq)
         cand_relax = cand_compiled.solve(
-            root_bounds, max_iterations=lp_max_iterations, deadline=deadline
+            root_bounds, max_iterations=lp_max_iterations, stop=stop
         )
         if cand_relax.status is not SolveStatus.OPTIMAL or cand_relax.x is None:
             break  # numerical trouble on the cut rows: keep old arrays
@@ -386,6 +390,13 @@ def solve_branch_bound(
     the root relaxation bound (within ``GAP_EPS``) terminates the
     search immediately with OPTIMAL — no nodes are enumerated.
 
+    The search has one stop signal: ``time_limit`` has passed, or the
+    race closed ``incumbent`` (:meth:`IncumbentPool.close`).  Presolve
+    (before every row), each cut round, the dive, the node loop and the
+    simplex pivot loops all poll it.  A stopped search adopts no further
+    offers and returns its best incumbent as FEASIBLE (or NO_SOLUTION
+    without one).
+
     ``dive`` runs a depth-first rounding dive from the root relaxation
     before the best-first loop: repeatedly fix the most fractional
     integer variable to its nearest in-range integer and re-solve.  An
@@ -411,11 +422,14 @@ def solve_branch_bound(
         from repro.certify.lp import certify_lp, certify_solution
 
     start = time.monotonic()
-    # Absolute LP deadline: every simplex solve in the search (root,
-    # cut loop, dive, nodes) polls it, so a hard relaxation cannot
-    # overshoot ``time_limit`` by minutes of pivoting (the node loop's
-    # own check only runs *between* nodes).
-    lp_deadline = start + time_limit if time_limit is not None else None
+    deadline = start + time_limit if time_limit is not None else None
+
+    def stopped() -> bool:
+        """The search's one stop signal (see the docstring)."""
+        return (deadline is not None and time.monotonic() > deadline) or (
+            incumbent is not None and incumbent.closed
+        )
+
     c, a_ub, b_ub, a_eq, b_eq, root_bounds, integrality = model.to_arrays()
     int_indices = [j for j, flag in enumerate(integrality) if flag]
 
@@ -428,7 +442,7 @@ def solve_branch_bound(
         from repro.ilp.presolve import presolve_arrays
 
         a_ub, b_ub, a_eq, b_eq, root_bounds, ps_info = presolve_arrays(
-            a_ub, b_ub, a_eq, b_eq, root_bounds, integrality
+            a_ub, b_ub, a_eq, b_eq, root_bounds, integrality, stop=stopped
         )
         presolve_stats["presolve_rows_dropped"] = ps_info.stats["rows_dropped"]
         presolve_stats["presolve_bounds_tightened"] = ps_info.stats[
@@ -464,8 +478,7 @@ def solve_branch_bound(
         cut_start = time.perf_counter()
         compiled, a_ub, b_ub, root_basis, root_obj = _root_cut_loop(
             compiled, c, a_ub, b_ub, a_eq, b_eq, root_bounds, integrality,
-            lp_max_iterations, certify, cut_stats,
-            deadline=lp_deadline,
+            lp_max_iterations, certify, cut_stats, stopped,
         )
         cut_stats["cut_wall_time"] = time.perf_counter() - cut_start
 
@@ -554,7 +567,8 @@ def solve_branch_bound(
             return True
         return False
 
-    _poll_external()
+    if not stopped():  # a stopped search returns what it has
+        _poll_external()
     root_stop = False
     if best_x is not None and stats["external_incumbents"]:
         # Satellite of the anytime race: an injected incumbent that
@@ -564,7 +578,7 @@ def solve_branch_bound(
                 root_bounds,
                 basis=root_basis if warm_start else None,
                 max_iterations=lp_max_iterations,
-                deadline=lp_deadline,
+                stop=stopped,
             )
             stats["simplex_iterations"] += relax0.iterations
             if relax0.status is SolveStatus.OPTIMAL:
@@ -579,11 +593,13 @@ def solve_branch_bound(
         dive_bounds = list(root_bounds)
         dive_basis = root_basis if warm_start else None
         for _ in range(len(int_indices) + 1):
+            if stopped():
+                break
             relax = compiled.solve(
                 dive_bounds,
                 basis=dive_basis,
                 max_iterations=lp_max_iterations,
-                deadline=lp_deadline,
+                stop=stopped,
             )
             stats["dive_solves"] += 1
             stats["simplex_iterations"] += relax.iterations
@@ -626,9 +642,7 @@ def solve_branch_bound(
     pseudo = _Pseudocosts()
 
     while heap:
-        if stats["nodes_explored"] >= max_nodes or (
-            time_limit is not None and time.monotonic() - start > time_limit
-        ):
+        if stats["nodes_explored"] >= max_nodes or stopped():
             exhausted = False
             break
         # Chaos-test injection site: behave exactly as if the time
@@ -658,7 +672,7 @@ def solve_branch_bound(
         lp_start = time.perf_counter()
         relax = compiled.solve(
             node.bounds, basis=node_basis, max_iterations=lp_max_iterations,
-            want_duals=certifying, deadline=lp_deadline,
+            want_duals=certifying, stop=stopped,
         )
         lp_wall = time.perf_counter() - lp_start
         stats["lp_wall_time"] += lp_wall

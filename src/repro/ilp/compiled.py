@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -301,11 +301,11 @@ class CompiledModel:
         self._monitor_refactors = 0
         #: Dual-unbounded ray of the last warm solve (set by ``_dual``).
         self._dual_ray: Optional[np.ndarray] = None
-        #: Absolute ``time.monotonic()`` deadline for the current solve
-        #: (set per :meth:`solve` call); the pivot loops poll it so a
-        #: hard LP cannot overshoot a caller's time limit by the full
-        #: iteration cap.
-        self._lp_deadline: Optional[float] = None
+        #: The caller's stop predicate for the current solve (set per
+        #: :meth:`solve` call); the pivot loops poll it so a hard LP
+        #: cannot overshoot a caller's time limit by the full iteration
+        #: cap.
+        self._stop: Optional[Callable[[], bool]] = None
 
     # -- sparse products --------------------------------------------------
 
@@ -361,7 +361,7 @@ class CompiledModel:
         basis: Optional[Basis] = None,
         max_iterations: int = 200_000,
         want_duals: bool = False,
-        deadline: Optional[float] = None,
+        stop: Optional[Callable[[], bool]] = None,
     ) -> LpResult:
         """Minimize the compiled objective under per-call ``bounds``.
 
@@ -375,14 +375,14 @@ class CompiledModel:
         row duals at OPTIMAL and a Farkas ray at INFEASIBLE, for
         :mod:`repro.certify`.
 
-        ``deadline`` is an absolute ``time.monotonic()`` timestamp: the
-        pivot loops poll it every 64 iterations and give up with
-        ``NO_SOLUTION`` once past it, so a time-limited search (the
-        anytime race, budgeted synthesis) is bounded by the deadline
-        rather than by however long ``max_iterations`` pivots take on a
-        hard relaxation.
+        ``stop`` is polled every 64 pivots; once it returns true the
+        solve gives up with ``NO_SOLUTION``, so a stopped search (the
+        time limit of the anytime race or of budgeted synthesis, or a
+        closed incumbent pool) is bounded by its stop signal rather than
+        by however long ``max_iterations`` pivots take on a hard
+        relaxation.
         """
-        self._lp_deadline = deadline
+        self._stop = stop
         lb, ub = self._extended_bounds(bounds)
         if np.any(lb[: self.n] > ub[: self.n]):
             return LpResult(SolveStatus.INFEASIBLE)
@@ -692,9 +692,9 @@ class CompiledModel:
             if iterations >= max_iterations:
                 raise _Exhausted(iterations)
             if (
-                self._lp_deadline is not None
+                self._stop is not None
                 and (iterations & 63) == 0
-                and time.monotonic() > self._lp_deadline
+                and self._stop()
             ):
                 raise _Exhausted(iterations)
             if since_refactor >= _REFACTOR_EVERY:
@@ -824,9 +824,9 @@ class CompiledModel:
             if pivots >= max_iterations:
                 raise _Exhausted(pivots)
             if (
-                self._lp_deadline is not None
+                self._stop is not None
                 and (pivots & 63) == 0
-                and time.monotonic() > self._lp_deadline
+                and self._stop()
             ):
                 raise _Exhausted(pivots)
             if since_refactor >= _REFACTOR_EVERY:

@@ -11,7 +11,10 @@ mapper:
   any offer that beats its incumbent as an upper bound;
 * the solver :meth:`offer`\\ s its own integral incumbents back, and
   :meth:`note`\\ s bound events, so the pool accumulates the per-race
-  **gap-vs-time timeline** that ends up in ``MappingResult.stats``.
+  **gap-vs-time timeline** that ends up in ``MappingResult.stats``;
+* the race :meth:`close`\\ s the pool once its answer is proven (an
+  incumbent at the objective's lower bound); the solver polls
+  :attr:`closed` alongside its time limit and returns its incumbent.
 
 The pool never validates offers itself — each consumer re-checks an
 offered vector against its own arrays (the solver with a float replay on
@@ -47,6 +50,9 @@ class IncumbentPool:
         #: lock (int reads are atomic under the GIL) and only take the
         #: lock when it moved.
         self.version = 0
+        #: set once by :meth:`close`; like ``version`` it is read
+        #: without the lock.
+        self.closed = False
         self._x: Optional[np.ndarray] = None
         self._objective = math.inf
         self._source = ""
@@ -102,6 +108,10 @@ class IncumbentPool:
                     "objective": float(value),
                 }
             )
+
+    def close(self) -> None:
+        """Tell every consumer to stop: the race needs no more search."""
+        self.closed = True
 
     # -- consuming -------------------------------------------------------
 

@@ -35,6 +35,10 @@ gets ``lb == ub``), so the postsolve map on solutions is the identity;
 :meth:`PresolveInfo.expand_row_duals` scatters dual vectors back over
 the dropped rows for callers that price the original rows.
 
+A caller's ``stop`` predicate is polled before every row.  Presolve may
+end mid-pass: each reduction applied so far is implied by the original
+rows, so the arrays it has reached are as valid as a fixed point.
+
 Bound tightening can prove infeasibility (a bound pair crosses, e.g. an
 integer variable squeezed into an empty interval).  Presolve then stops
 and *keeps the crossed bounds*: the root LP reports INFEASIBLE from the
@@ -47,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,8 +122,13 @@ def presolve_arrays(
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     integrality: np.ndarray,
+    stop: Optional[Callable[[], bool]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[Tuple[float, float]], PresolveInfo]:
-    """Reduce the arrays; returns new arrays + bounds + :class:`PresolveInfo`."""
+    """Reduce the arrays; returns new arrays + bounds + :class:`PresolveInfo`.
+
+    ``stop()`` turning true ends the reductions before the next row
+    (``stats["stopped"]``); the arrays reached so far are returned.
+    """
     n = len(bounds)
     a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n) if np.size(a_ub) else np.zeros((0, n))
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if np.size(a_eq) else np.zeros((0, n))
@@ -134,6 +143,7 @@ def presolve_arrays(
         "coeffs_strengthened": 0,
         "vars_fixed": 0,
         "passes": 0,
+        "stopped": 0,
     }
     info.stats = stats
 
@@ -183,6 +193,11 @@ def presolve_arrays(
             return True
         return False
 
+    def stopped() -> bool:
+        if stop is not None and not stats["stopped"] and stop():
+            stats["stopped"] = 1
+        return bool(stats["stopped"])
+
     def set_ub(j: int, v: Fraction) -> bool:
         if integrality[j]:
             v = Fraction(math.floor(v))
@@ -195,7 +210,12 @@ def presolve_arrays(
         return False
 
     changed = True
-    while changed and not info.infeasible and stats["passes"] < _MAX_PASSES:
+    while (
+        changed
+        and not info.infeasible
+        and stats["passes"] < _MAX_PASSES
+        and not stopped()
+    ):
         changed = False
         stats["passes"] += 1
 
@@ -203,6 +223,8 @@ def presolve_arrays(
         # the fixed value is float-representable; otherwise the row
         # stays and the simplex handles it).
         for i, row in enumerate(eq_rows):
+            if stopped():
+                break
             if not alive_eq[i] or len(row) != 1:
                 continue
             (j, a), = row.items()
@@ -225,6 +247,8 @@ def presolve_arrays(
             break
 
         for i, row in enumerate(ub_rows):
+            if stopped():
+                break
             if not alive_ub[i]:
                 continue
             b = ub_rhs[i]

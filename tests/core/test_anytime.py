@@ -1,6 +1,6 @@
 """The anytime mapper tier (DESIGN.md §13).
 
-Five contracts pinned here:
+Six contracts pinned here:
 
 * **equivalence** — with no deadline the race still ends at the exact
   lane's proven objective;
@@ -13,6 +13,9 @@ Five contracts pinned here:
   before injection, the solver sees them, a heuristic win engages the
   ``anytime_heuristic`` rung, and the race never returns a worse
   objective than the exact mapper alone would within the same model;
+* **the peak floor** — no mapping beats :meth:`MappingSpec.peak_floor`,
+  and an incumbent at the floor ends the race as proven optimal with
+  the parent's placements and no exact thread left behind;
 * **fuzz** — on generated assays (``fuzz:<seed>:<ops>``) every adopted
   heuristic mapping completes to a full variable assignment that
   replays clean against a fresh model build and certifies, and a whole
@@ -34,6 +37,7 @@ from repro.core.mappers import (
     ILPMapper,
     LoadLedger,
     WindowedILPMapper,
+    window_subspec,
 )
 from repro.core.mapping_model import (
     MappingModelBuilder,
@@ -42,17 +46,37 @@ from repro.core.mapping_model import (
 )
 from repro.core.tasks import build_tasks
 from repro.errors import DegradedResultWarning, SynthesisError
+from repro.geometry import GridSpec
 from repro.obs import TELEMETRY
 from repro.resilience import Deadline, DegradationLadder
 
+from tests.conftest import build_tiny_assay
 
-def spec_for(case_name, n_tasks=None, stride=1):
+
+def spec_for(case_name, n_tasks=None, stride=1, grid=None):
     case = get_case(case_name)
     schedule = schedule_for(case, case.policies(1)[0])
     tasks = build_tasks(case.graph(), schedule)
     if n_tasks is not None:
         tasks = tasks[:n_tasks]
-    return MappingSpec(grid=case.grid, tasks=tasks, anchor_stride=stride)
+    return MappingSpec(
+        grid=grid or case.grid, tasks=tasks, anchor_stride=stride
+    )
+
+
+# Inputs whose optimum (80) lies above their peak floor (40): a race on
+# them cannot stop at the floor, so the exact lane really runs.
+def small_above_floor():
+    """Four PCR tasks on 5x5 at stride 3 (21 variables): the lane
+    proves 80 at the root."""
+    return spec_for("pcr", 4, 3, GridSpec(5, 5))
+
+
+def large_above_floor():
+    """Eight Exp. Dilution tasks on 8x8 at stride 1 (977 variables):
+    the packer answers 120, and the lane's presolve alone takes about
+    1 s on a 2-vCPU host, longer than a 0.75 s budget."""
+    return spec_for("exponential_dilution", 8, 1, GridSpec(8, 8))
 
 
 def assert_model_valid(spec, placements):
@@ -112,8 +136,9 @@ class TestRaceInvariants:
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
-        winners = counters.get("anytime.race_winner_exact", 0) + counters.get(
-            "anytime.race_winner_heuristic", 0
+        winners = sum(
+            counters.get(f"anytime.race_winner_{lane}", 0)
+            for lane in ("exact", "heuristic", "bound")
         )
         assert counters.get("anytime.races") == 1
         assert winners == 1
@@ -140,8 +165,11 @@ class TestWindowedScope:
             lambda self, spec, **kwargs: calls.append("windowed"),
         )
         ladder = DegradationLadder()
+        # Full PCR on 7x7: LNS stops at 80, above the floor of 40.
         result = AnytimeMapper(seed=1, ilp_task_limit=4).map_tasks(
-            spec_for("pcr"), deadline=Deadline(2.0), ladder=ladder
+            spec_for("pcr", grid=GridSpec(7, 7)),
+            deadline=Deadline(2.0),
+            ladder=ladder,
         )
         assert "anytime-exact" not in started
         assert calls == []
@@ -205,32 +233,29 @@ class TestRace:
 
     def test_injected_incumbent_reaches_the_solver(self):
         result = AnytimeMapper(seed=1).map_tasks(
-            spec_for("pcr", 2, 3), deadline=Deadline(5.0)
+            small_above_floor(), deadline=Deadline(5.0)
         )
         assert result.stats["injectable"] == 1.0
         assert result.stats["solver_external_offers_seen"] >= 1
         assert result.stats["solver_external_rejected"] == 0
 
     def test_heuristic_win_engages_the_rung(self):
-        # stride-1 exponential sub-model: far too hard for the exact
-        # lane inside the budget, trivially packable by the heuristic.
-        spec = spec_for("exponential_dilution", 5, 1)
+        # A stride-1 model far too hard for the exact lane inside the
+        # budget, trivially packable by the heuristic.
         ladder = DegradationLadder()
         result = AnytimeMapper(seed=1).map_tasks(
-            spec, deadline=Deadline(0.75), ladder=ladder
+            large_above_floor(), deadline=Deadline(0.75), ladder=ladder
         )
         assert result.stats["race_winner_heuristic"] == 1.0
         assert not result.optimal
         assert ladder.fired(DegradationLadder.ANYTIME_HEURISTIC) == 1
         # The adopted mapping is certified against a fresh build.
-        peak = assert_model_valid(
-            spec_for("exponential_dilution", 5, 1), result.placements
-        )
+        peak = assert_model_valid(large_above_floor(), result.placements)
         assert peak == result.objective
 
     def test_race_timeline_is_recorded(self):
         result = AnytimeMapper(seed=1).map_tasks(
-            spec_for("pcr", 2, 3), deadline=Deadline(5.0)
+            small_above_floor(), deadline=Deadline(5.0)
         )
         timeline = result.stats["race_timeline"]
         kinds = {event["kind"] for event in timeline}
@@ -281,6 +306,110 @@ class TestLNS:
             placements, max_rounds=500, stall_limit=5
         )
         assert stats["lns_rounds"] <= 5 + stats["lns_accepted"] * 5
+
+
+def highs_peak(spec):
+    built = MappingModelBuilder(spec).build()
+    solution = built.model.solve(backend="scipy")
+    assert solution.status.value == "optimal"
+    return int(round(solution.value(built.w)))
+
+
+#: Device rectangles ``(x, y, width, height)`` of two budgeted runs that
+#: stop at the floor, as recorded before the floor rule existed: the
+#: rule must not move a single device.
+PINNED_FLOOR_DESIGNS = {
+    "tiny": {"a": (0, 0, 4, 2), "b": (0, 5, 4, 2), "c": (1, 2, 3, 3)},
+    "pcr/p1": {
+        "o1": (0, 0, 4, 2), "o2": (1, 5, 4, 2), "o3": (0, 7, 4, 2),
+        "o4": (4, 7, 4, 2), "o5": (1, 2, 5, 2), "o6": (5, 5, 2, 2),
+        "o7": (6, 0, 2, 5),
+    },
+}
+
+
+class TestPeakFloor:
+    """No mapping beats the largest pump rate or base load, and a race
+    whose certified incumbent meets that floor ends there."""
+
+    @pytest.mark.parametrize("ops", [4, 5, 6, 7, 8])
+    def test_floor_bounds_the_highs_optimum(self, ops):
+        case = get_case(f"fuzz:7:{ops}")
+        tasks = build_tasks(
+            case.graph(), schedule_for(case, case.policies(1)[0])
+        )
+        spec = MappingSpec(grid=GridSpec(10, 10), tasks=tasks, anchor_stride=2)
+        assert spec.peak_floor() == max(t.pump_rate for t in tasks)
+        assert spec.peak_floor() <= highs_peak(spec)
+
+    def test_floor_covers_the_base_load_of_a_window(self):
+        case = get_case("fuzz:7:8")
+        tasks = build_tasks(
+            case.graph(), schedule_for(case, case.policies(1)[0])
+        )
+        spec = MappingSpec(grid=GridSpec(10, 10), tasks=tasks, anchor_stride=2)
+        ordered = sorted(tasks, key=lambda t: (t.start, t.name))
+        placements = dict(GreedyMapper().map_tasks(spec).placements)
+        window = ordered[-2:]
+        sub = window_subspec(spec, window, ordered, placements)
+        assert sub.base_load
+        floor = sub.peak_floor()
+        assert floor >= max(sub.base_load.values())
+        assert floor >= max(t.pump_rate for t in window)
+        assert floor <= highs_peak(sub)
+
+    @pytest.mark.parametrize(
+        "label,lane_starts", [("tiny", False), ("pcr/p1", True)]
+    )
+    def test_stop_at_the_floor_keeps_the_design(
+        self, monkeypatch, label, lane_starts
+    ):
+        # The tiny assay's packer is at the floor, so no exact lane
+        # starts; on PCR p1 the lane starts and LNS reaches the floor
+        # mid-race, which closes the lane before map_tasks returns.
+        if label == "tiny":
+            graph, schedule = build_tiny_assay()
+            grid = GridSpec(8, 8)
+        else:
+            case = get_case("pcr")
+            graph = case.graph()
+            schedule = schedule_for(case, case.policies(1)[0])
+            grid = case.grid
+        started, results, alive = [], [], []
+        original_start = threading.Thread.start
+        original_map = AnytimeMapper.map_tasks
+
+        def recording_start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
+        def recording_map(self, spec, **kwargs):
+            results.append(original_map(self, spec, **kwargs))
+            alive.extend(
+                t.name for t in threading.enumerate()
+                if t.name == "anytime-exact"
+            )
+            return results[-1]
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(AnytimeMapper, "map_tasks", recording_map)
+        config = SynthesisConfig(grid=grid, time_budget=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedResultWarning)
+            result = ReliabilitySynthesizer(config).synthesize(graph, schedule)
+        rects = {
+            name: (d.rect.x, d.rect.y, d.rect.width, d.rect.height)
+            for name, d in result.devices.items()
+        }
+        assert rects == PINNED_FLOOR_DESIGNS[label]
+        assert len(results) == 1
+        mapping = results[0]
+        assert mapping.optimal
+        assert mapping.stats["bound_stop"] == 1.0
+        assert mapping.stats["race_winner_heuristic"] == 0.0
+        assert result.resilience.events == []
+        assert ("anytime-exact" in started) == lane_starts
+        assert alive == []
 
 
 @pytest.mark.parametrize("seed,ops", [(3, 6), (11, 7), (29, 6)])

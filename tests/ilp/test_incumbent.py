@@ -222,3 +222,42 @@ class TestRootBoundStop:
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(8.0)
         assert solution.stats["root_bound_stop"] == 0
+
+
+class _CloseOnFirstIncumbent(IncumbentPool):
+    """Closes itself when the solver publishes its first incumbent."""
+
+    def note(self, kind: str, source: str, value: float) -> None:
+        super().note(kind, source, value)
+        if kind == "incumbent":
+            self.close()
+
+
+class TestClose:
+    """A closed pool is the race's stop signal: the search polls it
+    with its time limit and returns what it has."""
+
+    def test_closed_pool_starts_no_search(self):
+        model = _fractional_root_model()
+        pool = IncumbentPool()
+        pool.offer([0.0, 3.0], 6.0)
+        pool.close()
+        assert pool.closed
+        solution = model.solve(backend="branch_bound", incumbent=pool)
+        assert solution.status is SolveStatus.NO_SOLUTION
+        assert solution.stats["nodes_explored"] == 0
+        assert solution.stats["dive_solves"] == 0
+        assert solution.stats["external_offers_seen"] == 0
+
+    def test_close_mid_search_returns_the_incumbent(self):
+        model = _fractional_root_model()
+        pool = _CloseOnFirstIncumbent()
+        solution = model.solve(backend="branch_bound", incumbent=pool)
+        assert pool.closed
+        assert solution.status is SolveStatus.FEASIBLE
+        assert solution.stats["nodes_explored"] == 0
+        assert model.check_solution(solution.values) == []
+        first = next(
+            e for e in pool.timeline_snapshot() if e["kind"] == "incumbent"
+        )
+        assert solution.objective == pytest.approx(first["objective"])

@@ -6,15 +6,25 @@ solved by both MILP backends.  Whenever both prove optimality they must
 report the same optimum, and the window's root LP relaxation — solved
 by the sparse-LU engine — must carry an exact-arithmetic certificate
 (:func:`repro.certify.lp.certify_lp`) that matches HiGHS' LP optimum.
+A presolve stopped after any number of rows keeps HiGHS' MILP optimum
+on the same windows, and on windows whose other tasks are committed
+(where presolve has rows to drop, bounds to tighten and big-M
+coefficients to shrink): every reduction it applied before the stop is
+implied by the original rows.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.assays import get_case, schedule_for
 from repro.certify.lp import certify_lp
+from repro.core.mappers import GreedyMapper, window_subspec
 from repro.core.mapping_model import MappingModelBuilder, MappingSpec
 from repro.core.tasks import build_tasks
 from repro.ilp import CompiledModel, SolveStatus
+from repro.ilp.presolve import presolve_arrays
 
 #: Node cap for the branch & bound side: a window that needs more
 #: nodes ends FEASIBLE (or NO_SOLUTION) and is not compared, which
@@ -31,6 +41,24 @@ def _windows(seed: int):
         window = tasks[lo : lo + size]
         spec = MappingSpec(grid=case.grid, tasks=window, anchor_stride=3)
         yield f"{case.name}[{lo}:{lo + size}]", MappingModelBuilder(spec).build().model
+
+
+def _committed_windows(seed: int):
+    """``(label, model)`` for 2-task windows with every other task
+    committed at its packer placement."""
+    case = get_case(f"fuzz:{seed}:6")
+    schedule = schedule_for(case, case.policies(1)[0])
+    tasks = build_tasks(case.graph(), schedule)
+    spec = MappingSpec(grid=case.grid, tasks=tasks, anchor_stride=3)
+    ordered = sorted(tasks, key=lambda t: (t.start, t.name))
+    placements = dict(GreedyMapper().map_tasks(spec).placements)
+    for lo in (0, len(ordered) - 2):
+        window = ordered[lo : lo + 2]
+        sub = window_subspec(spec, window, ordered, placements)
+        yield (
+            f"{case.name}[{lo}:{lo + 2}]+committed",
+            MappingModelBuilder(sub).build().model,
+        )
 
 
 def _root_lp_certifies(model) -> float:
@@ -74,3 +102,52 @@ def test_branch_bound_matches_highs_on_fuzzed_windows(seed: int) -> None:
             assert mine.status is SolveStatus.NO_SOLUTION, label
     # The 2-task windows of these seeds close well inside the node cap.
     assert compared >= 2
+
+
+def _highs_milp(c, a_ub, b_ub, a_eq, b_eq, bounds, integrality) -> float:
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    constraints = []
+    if a_ub.shape[0]:
+        constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
+    if a_eq.shape[0]:
+        constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
+    lo, hi = zip(*bounds)
+    result = milp(
+        c,
+        constraints=constraints,
+        integrality=np.asarray(integrality, dtype=int),
+        bounds=Bounds(lo, hi),
+    )
+    assert result.status == 0
+    return result.fun
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_presolve_stopped_after_k_rows_keeps_the_highs_optimum(seed: int) -> None:
+    reductions = 0
+    for label, model in itertools.chain(_windows(seed), _committed_windows(seed)):
+        arrays = model.to_arrays()
+        c, a_ub, b_ub, a_eq, b_eq, bounds, integrality = arrays
+        reference = _highs_milp(*arrays)
+        polls = itertools.count()
+        *_, full = presolve_arrays(
+            a_ub, b_ub, a_eq, b_eq, bounds, integrality,
+            stop=lambda: next(polls) < 0,
+        )
+        rows = next(polls)  # the rows a full presolve visits
+        reductions += full.stats["rows_dropped"] + full.stats["coeffs_strengthened"]
+        for k in sorted({0, 1, 2, rows // 4, rows // 2, 3 * rows // 4, rows - 1}):
+            polls = itertools.count()
+            *reduced, info = presolve_arrays(
+                a_ub, b_ub, a_eq, b_eq, bounds, integrality,
+                stop=lambda: next(polls) >= k,
+            )
+            assert info.stats["stopped"] == 1, (label, k)
+            new_a_ub, new_b_ub, new_a_eq, new_b_eq, new_bounds = reduced
+            optimum = _highs_milp(
+                c, new_a_ub, new_b_ub, new_a_eq, new_b_eq, new_bounds,
+                integrality,
+            )
+            assert optimum == pytest.approx(reference, abs=1e-6), (label, k)
+    assert reductions > 0  # the stops cut real reductions short

@@ -24,9 +24,9 @@ from repro.resilience import FAULTS, DegradationLadder
 from tests.conftest import build_tiny_assay
 
 
-def synthesize_tiny(expect_degraded=True, **config_kwargs):
+def synthesize_tiny(expect_degraded=True, grid=GridSpec(8, 8), **config_kwargs):
     graph, schedule = build_tiny_assay()
-    config = SynthesisConfig(grid=GridSpec(8, 8), **config_kwargs)
+    config = SynthesisConfig(grid=grid, **config_kwargs)
     synthesizer = ReliabilitySynthesizer(config)
     if expect_degraded:
         with pytest.warns(DegradedResultWarning):
@@ -68,9 +68,14 @@ class TestWorkerSites:
         # supervised solve: the mapper must re-solve in-process (the
         # worker_serial rung), not fail the synthesis.  With a budget
         # the solve is the anytime race's exact lane, and the rung it
-        # engages must still reach the run's report.
+        # engages must still reach the run's report.  On 8x8 the packer
+        # meets the peak floor (40) and the race starts no exact lane;
+        # on 5x5 the optimum is 80, so the lane must run.
+        grid = GridSpec(8, 8) if time_budget is None else GridSpec(5, 5)
         with FAULTS.inject({"worker.crash": 3}):
-            result = synthesize_tiny(supervised=True, time_budget=time_budget)
+            result = synthesize_tiny(
+                supervised=True, time_budget=time_budget, grid=grid
+            )
         assert result.resilience.count(DegradationLadder.WORKER_SERIAL) >= 1
         if time_budget is not None:
             assert result.metrics.mapper == "anytime"
