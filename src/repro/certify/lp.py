@@ -1,11 +1,14 @@
-"""Independent LP/MILP certificates in exact rational arithmetic.
+"""Independent LP/MILP certificates in exact arithmetic.
 
 The checkers here never reuse solver internals: they take a claimed
-answer plus the *original* problem data and re-verify the claim with
-:class:`fractions.Fraction` arithmetic (``Fraction(float)`` is exact,
-so the checker itself introduces zero rounding error — every tolerance
-below exists only to absorb the *solver's* float error, never the
-checker's).
+answer plus the *original* problem data and re-verify the claim
+exactly, so the checker itself introduces zero rounding error — every
+tolerance below exists only to absorb the *solver's* float error, never
+the checker's.  Row, bound, integrality and objective replays run on
+scaled Python ints (:mod:`repro.ilp.exact`: every finite float is
+dyadic); the LP dual and Farkas aggregates, whose multipliers mix rows,
+stay :class:`fractions.Fraction`.  A non-finite claimed value fails its
+certificate instead of raising.
 
 Certificate math (DESIGN.md §10):
 
@@ -35,6 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.certify.report import Violation
+from repro.ilp.exact import Ratio, beyond, common, row_sums, row_violated, to_float
 from repro.ilp.solution import SolveStatus
 from repro.ilp.tolerances import CERT_EPS, GAP_EPS, MILP_GAP_RTOL
 
@@ -95,6 +99,27 @@ def _finite(value: float) -> bool:
     return math.isfinite(value)
 
 
+def _outside(value: Ratio, bound: float, below: bool, eps: Fraction) -> bool:
+    """Whether ``value`` lies below (``below``) or above a finite bound
+    by more than ``eps * (1 + |value|)``."""
+    v, b, d = common(value, bound.as_integer_ratio())
+    return beyond(b - v if below else v - b, d + abs(v), eps)
+
+
+def _mismatch(replayed: Ratio, reported: float, eps: Fraction) -> bool:
+    """Whether ``|replayed - reported| > eps * (1 + |replayed|)``."""
+    o, r, d = common(replayed, reported.as_integer_ratio())
+    return beyond(abs(o - r), d + abs(o), eps)
+
+
+def _gate_finite(cert: Certificate, name: str, values: Sequence[float]) -> None:
+    """Fail ``cert`` on every non-finite entry of a claimed vector."""
+    for j, v in enumerate(values):
+        if not _finite(v):
+            cert.fail("lp-non-finite", f"{name}[{j}]", f"claimed value is {v}",
+                      measured=v)
+
+
 # ---------------------------------------------------------------------------
 # LP certificates
 # ---------------------------------------------------------------------------
@@ -123,6 +148,7 @@ def certify_lp(
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if np.size(a_eq) else np.zeros((0, n))
     b_ub = np.asarray(b_ub, dtype=float).ravel()
     b_eq = np.asarray(b_eq, dtype=float).ravel()
+    eps = Fraction(eps)
     if result.status is SolveStatus.OPTIMAL:
         return _certify_optimal(result, c, a_ub, b_ub, a_eq, b_eq, bounds, eps)
     if result.status is SolveStatus.INFEASIBLE:
@@ -143,66 +169,84 @@ def _certify_optimal(
     eps: Fraction,
 ) -> Certificate:
     cert = Certificate(kind="lp-optimal")
-    x = [_frac(v) for v in result.x]
-    cF = [_frac(v) for v in c]
+    xs = [float(v) for v in result.x]
+    reported = float(result.objective)
+    cert.ran("finite")
+    _gate_finite(cert, "x", xs)
+    if not _finite(reported):
+        cert.fail("lp-non-finite", "objective", f"reported objective is {reported}",
+                  measured=reported)
+    if result.duals is not None:
+        _gate_finite(cert, "y", [float(v) for v in result.duals])
+    if not cert.ok:
+        return cert
+    xr = [v.as_integer_ratio() for v in xs]
 
-    # Primal feasibility, exact row replay with a relative slack that
-    # scales with the row's own magnitude (cancellation-aware).
+    # Primal feasibility, exact row replay of each row's nonzeros with a
+    # relative slack that scales with the row's own magnitude
+    # (cancellation-aware).
     cert.ran("primal-feasibility")
-    for label, mat, rhs, is_eq in (
-        ("ub", a_ub, b_ub, False),
-        ("eq", a_eq, b_eq, True),
+    for label, mat, rhs, sense in (
+        ("ub", a_ub, b_ub, "<="),
+        ("eq", a_eq, b_eq, "=="),
     ):
+        rows, cols = np.nonzero(mat)
+        coefs = mat[rows, cols].tolist()
+        cols = cols.tolist()
+        starts = np.searchsorted(rows, np.arange(mat.shape[0] + 1)).tolist()
         for i in range(mat.shape[0]):
-            lhs = _ZERO
-            mass = Fraction(1)
-            for j in range(len(x)):
-                if mat[i, j] != 0.0:
-                    term = _frac(mat[i, j]) * x[j]
-                    lhs += term
-                    mass += abs(term)
-            b_i = _frac(rhs[i])
-            tol = eps * (mass + abs(b_i))
-            resid = abs(lhs - b_i) if is_eq else lhs - b_i
-            if resid > tol:
+            lo, hi = starts[i], starts[i + 1]
+            b_i = float(rhs[i])
+            try:
+                lhs = row_violated(
+                    coefs[lo:hi], map(xr.__getitem__, cols[lo:hi]), b_i, sense, eps
+                )
+            except (ValueError, OverflowError):
+                cert.fail(
+                    "lp-non-finite", f"{label}-row {i}",
+                    "row carries a non-finite coefficient or right-hand side",
+                )
+                continue
+            if lhs is not None:
                 cert.fail(
                     "lp-primal-infeasible",
                     f"{label}-row {i}",
                     "replayed row violates its right-hand side",
-                    measured=float(lhs),
-                    expected=float(b_i),
+                    measured=lhs,
+                    expected=b_i,
                 )
 
     cert.ran("bounds")
     for j, (lo, hi) in enumerate(bounds):
-        scale = eps * (1 + abs(x[j]))
-        if _finite(lo) and x[j] < _frac(lo) - scale:
-            cert.fail(
-                "lp-bound-violated", f"x[{j}]",
-                "value below its lower bound",
-                measured=float(x[j]), expected=lo,
-            )
-        if _finite(hi) and x[j] > _frac(hi) + scale:
-            cert.fail(
-                "lp-bound-violated", f"x[{j}]",
-                "value above its upper bound",
-                measured=float(x[j]), expected=hi,
-            )
+        for bound, below in ((lo, True), (hi, False)):
+            if _finite(bound) and _outside(xr[j], float(bound), below, eps):
+                cert.fail(
+                    "lp-bound-violated", f"x[{j}]",
+                    "value below its lower bound" if below
+                    else "value above its upper bound",
+                    measured=xs[j], expected=bound,
+                )
 
     cert.ran("objective-report")
-    cx = sum((cF[j] * x[j] for j in range(len(x))), _ZERO)
-    reported = _frac(result.objective)
-    if abs(cx - reported) > eps * (1 + abs(cx)):
+    try:
+        cn, _, cd = row_sums([float(v) for v in c], xr)
+    except (ValueError, OverflowError):
+        cert.fail("lp-non-finite", "objective", "cost vector is not finite")
+        return cert
+    if _mismatch((cn, cd), reported, eps):
         cert.fail(
             "lp-objective-mismatch", "objective",
             "reported optimum differs from the replayed c @ x",
-            measured=float(reported), expected=float(cx),
+            measured=reported, expected=to_float(cn, cd),
         )
+    cx = Fraction(cn, cd)
 
     if result.duals is None:
         cert.details["dual"] = "no multipliers attached; primal-only certificate"
         return cert
 
+    x = [Fraction(n, d) for n, d in xr]
+    cF = [_frac(v) for v in c]
     y = [_frac(v) for v in result.duals]
     m_ub = a_ub.shape[0]
 
@@ -301,6 +345,10 @@ def _certify_infeasible(
         cert.details["reason"] = "no Farkas ray attached to the INFEASIBLE verdict"
         return cert
 
+    cert.ran("finite")
+    _gate_finite(cert, "y", [float(v) for v in result.farkas])
+    if not cert.ok:
+        return cert
     y = [_frac(v) for v in result.farkas]
     m_ub = a_ub.shape[0]
 
@@ -386,8 +434,11 @@ def certify_solution(model, solution, eps: Fraction = CERT_EPS) -> Certificate:
 
     Works at the :class:`Constraint` level (never through
     ``Model.to_arrays``), so a matrix-export bug cannot blind both the
-    solver and this check.  Also audits the reported objective and —
-    when the backend published one — the claimed best bound / gap.
+    solver and this check.  Bounds, integrality, rows and the objective
+    replay on scaled ints (:mod:`repro.ilp.exact`).  Also audits the
+    reported objective and — when the backend published one — the
+    claimed best bound / gap.  A non-finite value, objective or
+    coefficient fails the certificate; it never raises.
     """
     from repro.ilp.model import ObjectiveSense
 
@@ -397,67 +448,90 @@ def certify_solution(model, solution, eps: Fraction = CERT_EPS) -> Certificate:
         cert.details["reason"] = f"status {solution.status.value} has no incumbent"
         return cert
 
-    values = {var: _frac(solution.values.get(var, 0.0)) for var in model.variables}
+    eps = Fraction(eps)
+    cert.ran("milp-finite")
+    values: Dict[Any, Ratio] = {}
+    for var in model.variables:
+        val = float(solution.values.get(var, 0.0))
+        if _finite(val):
+            values[var] = val.as_integer_ratio()
+        else:
+            cert.fail(
+                "milp-non-finite", var.name, f"variable value is {val}",
+                measured=val,
+            )
+    reported = float(solution.objective)
+    if not _finite(reported):
+        cert.fail(
+            "milp-non-finite", "objective", f"reported objective is {reported}",
+            measured=reported,
+        )
+    if not cert.ok:
+        return cert
 
     cert.ran("milp-bounds")
     cert.ran("milp-integrality")
     for var in model.variables:
-        val = values[var]
-        scale = eps * (1 + abs(val))
-        if _finite(var.lb) and val < _frac(var.lb) - scale:
-            cert.fail(
-                "milp-bound", var.name, "value below its lower bound",
-                measured=float(val), expected=var.lb,
-            )
-        if _finite(var.ub) and val > _frac(var.ub) + scale:
-            cert.fail(
-                "milp-bound", var.name, "value above its upper bound",
-                measured=float(val), expected=var.ub,
-            )
-        if var.vtype.is_integral:
-            nearest = Fraction(round(val))
-            if abs(val - nearest) > eps:
+        vn, vd = values[var]
+        for bound, below in ((var.lb, True), (var.ub, False)):
+            if _finite(bound) and _outside((vn, vd), bound, below, eps):
+                cert.fail(
+                    "milp-bound", var.name,
+                    "value below its lower bound" if below
+                    else "value above its upper bound",
+                    measured=to_float(vn, vd), expected=bound,
+                )
+        if var.vtype.is_integral and vd != 1:
+            # Nearest integer, ties to even (as round() on a rational).
+            low, rem = divmod(vn, vd)
+            nearest = low + (2 * rem > vd or (2 * rem == vd and low % 2 == 1))
+            if beyond(abs(vn - nearest * vd), vd, eps):
                 cert.fail(
                     "milp-integrality", var.name,
                     "integer variable carries a fractional value",
-                    measured=float(val), expected=float(nearest),
+                    measured=to_float(vn, vd), expected=float(nearest),
                 )
 
     cert.ran("milp-constraints")
-    from repro.ilp.constraint import Sense
-
     for idx, con in enumerate(model.constraints):
-        lhs = _ZERO
-        mass = Fraction(1)
-        for var, coef in con.expr.terms.items():
-            term = _frac(coef) * values[var]
-            lhs += term
-            mass += abs(term)
-        rhs = _frac(con.rhs)
-        tol = eps * (mass + abs(rhs))
-        if con.sense is Sense.LE:
-            bad = lhs - rhs > tol
-        elif con.sense is Sense.GE:
-            bad = rhs - lhs > tol
-        else:
-            bad = abs(lhs - rhs) > tol
-        if bad:
+        terms = con.expr.terms
+        try:
+            lhs = row_violated(
+                terms.values(), map(values.__getitem__, terms),
+                con.rhs, con.sense.value, eps,
+            )
+        except (ValueError, OverflowError):
+            cert.fail(
+                "milp-non-finite", con.name or f"constraint {idx}",
+                "row carries a non-finite coefficient or right-hand side",
+            )
+            continue
+        if lhs is not None:
             cert.fail(
                 "milp-constraint", con.name or f"constraint {idx}",
                 "replayed incumbent violates this row",
-                measured=float(lhs), expected=float(rhs),
+                measured=lhs, expected=con.rhs,
             )
 
     cert.ran("milp-objective")
-    obj = _frac(model.objective.constant)
-    for var, coef in model.objective.terms.items():
-        obj += _frac(coef) * values[var]
-    reported = _frac(solution.objective)
-    if abs(obj - reported) > eps * (1 + abs(obj)):
+    objective = model.objective
+    try:
+        on, _, od = row_sums(
+            objective.terms.values(), map(values.__getitem__, objective.terms)
+        )
+        on, cn, od = common((on, od), objective.constant.as_integer_ratio())
+    except (ValueError, OverflowError):
+        cert.fail(
+            "milp-non-finite", "objective",
+            "objective carries a non-finite coefficient or constant",
+        )
+        return cert
+    obj = to_float(on + cn, od)
+    if _mismatch((on + cn, od), reported, eps):
         cert.fail(
             "milp-objective", "objective",
             "reported objective differs from the replayed incumbent value",
-            measured=float(reported), expected=float(obj),
+            measured=reported, expected=obj,
         )
 
     # Gap audit: the claimed best bound must not beat the (replayed)
@@ -468,22 +542,22 @@ def certify_solution(model, solution, eps: Fraction = CERT_EPS) -> Certificate:
     )
     if best_bound is not None and _finite(best_bound):
         cert.ran("milp-gap")
-        slack = MILP_GAP_RTOL * (1.0 + abs(float(obj_min)))
-        if float(best_bound) > float(obj_min) + slack:
+        slack = MILP_GAP_RTOL * (1.0 + abs(obj_min))
+        if float(best_bound) > obj_min + slack:
             cert.fail(
                 "milp-bound-invalid", "best_bound",
                 "claimed lower bound exceeds the replayed incumbent",
-                measured=float(best_bound), expected=float(obj_min),
+                measured=float(best_bound), expected=obj_min,
             )
         if solution.status is SolveStatus.OPTIMAL:
             gap_cap = solution.stats.get(
                 "absolute_gap", solution.stats.get("mip_gap", GAP_EPS)
             )
-            if float(obj_min) - float(best_bound) > float(gap_cap) + slack:
+            if obj_min - float(best_bound) > float(gap_cap) + slack:
                 cert.fail(
                     "milp-gap-open", "best_bound",
                     "OPTIMAL claimed but the bound leaves a gap",
-                    measured=float(obj_min) - float(best_bound),
+                    measured=obj_min - float(best_bound),
                     expected=float(gap_cap),
                 )
     return cert

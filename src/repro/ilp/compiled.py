@@ -375,12 +375,14 @@ class CompiledModel:
         row duals at OPTIMAL and a Farkas ray at INFEASIBLE, for
         :mod:`repro.certify`.
 
-        ``stop`` is polled every 64 pivots; once it returns true the
-        solve gives up with ``NO_SOLUTION``, so a stopped search (the
-        time limit of the anytime race or of budgeted synthesis, or a
-        closed incumbent pool) is bounded by its stop signal rather than
-        by however long ``max_iterations`` pivots take on a hard
-        relaxation.
+        ``stop`` is polled before every pivot (a clock read, against a
+        pivot's sparse solves); once it returns true the solve gives up
+        with ``NO_SOLUTION``, so a stopped search (the time limit of the
+        anytime race or of budgeted synthesis, or a closed incumbent
+        pool) is bounded by its stop signal rather than by however long
+        ``max_iterations`` pivots take on a hard relaxation.  Polling
+        only every 64 pivots let a root LP sharing the interpreter with
+        two other solver threads run 0.5 s past its deadline.
         """
         self._stop = stop
         lb, ub = self._extended_bounds(bounds)
@@ -691,11 +693,7 @@ class CompiledModel:
         while True:
             if iterations >= max_iterations:
                 raise _Exhausted(iterations)
-            if (
-                self._stop is not None
-                and (iterations & 63) == 0
-                and self._stop()
-            ):
+            if self._stop is not None and self._stop():
                 raise _Exhausted(iterations)
             if since_refactor >= _REFACTOR_EVERY:
                 fac.refactor(basic)
@@ -823,11 +821,7 @@ class CompiledModel:
         while True:
             if pivots >= max_iterations:
                 raise _Exhausted(pivots)
-            if (
-                self._stop is not None
-                and (pivots & 63) == 0
-                and self._stop()
-            ):
+            if self._stop is not None and self._stop():
                 raise _Exhausted(pivots)
             if since_refactor >= _REFACTOR_EVERY:
                 fac.refactor(basic)

@@ -19,12 +19,18 @@ reductions, iterated to a fixed point:
   both binary phases keep the same feasible set, but the LP relaxation
   between them tightens.
 
-Every decision is made in exact rational arithmetic
-(:class:`fractions.Fraction` — ``Fraction(float)`` is exact), so a
-reduction is applied only when it provably preserves the mixed-integer
-feasible set.  Where a new value must be stored back as a float it is
-rounded in the *safe* direction: integer bounds are exact, continuous
-bounds round outward (``math.nextafter``), strengthened coefficients
+Every decision is exact.  Each row is scaled by a power of two into
+Python ints (:mod:`repro.ilp.exact`; every finite float is dyadic), so
+activity bounds, redundancy tests, bound tightening and the big-M
+excess are int arithmetic, and integer bounds come from floor/ceil
+division.  A reduction is applied only when it provably preserves the
+mixed-integer feasible set.  The one rational that is inherent is a
+continuous variable's bound: tightening can make it a fraction such as
+``1/3``, which stays an exact :class:`fractions.Fraction` until it is
+stored.  Where a new value must be stored back as a float it is
+rounded in the *safe* direction: bounds round outward (integer bounds
+are exact up to ``2**53``, and beyond the float range a bound becomes
+an infinity or the largest finite float), strengthened coefficients
 round toward the original (weaker) value.  The presolved arrays are
 therefore a valid relaxation of the original MILP and everything
 downstream — branching, warm starts, LP certificates — runs on them
@@ -49,34 +55,56 @@ trivial-bounds check — no special casing anywhere downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-_ZERO = Fraction(0)
+from repro.ilp.exact import scale_row
+
 #: Reduction passes stop after this many sweeps even off fixed point.
 _MAX_PASSES = 4
 
 
-def _frac(x: float) -> Fraction:
-    return Fraction(x)  # exact for every finite float
+def _exact(n: int, d: int):
+    """The rational ``n / d`` as an int when it is one, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
-def _ub_float(v: Fraction) -> float:
-    """Round a rational upper bound to a float that is >= it."""
-    f = float(v)
-    if Fraction(f) < v:
-        f = math.nextafter(f, math.inf)
-    return f
+def _div(num, a, integral: bool, up: bool):
+    """``num / a`` exactly, rounded up (``up``) or down to an int for an
+    integer variable.  Int operands — every row whose bounds are
+    integers — never leave int arithmetic."""
+    if type(num) is int and type(a) is int:
+        if integral:
+            return -(-num // a) if up else num // a
+        return _exact(num, a)
+    v = Fraction(num) / a  # a fractional continuous bound took part
+    if integral:
+        return math.ceil(v) if up else math.floor(v)
+    return _exact(v.numerator, v.denominator)
 
 
-def _lb_float(v: Fraction) -> float:
-    """Round a rational lower bound to a float that is <= it."""
-    f = float(v)
-    if Fraction(f) > v:
-        f = math.nextafter(f, -math.inf)
+def _outward(v, up: bool, den: int = 1) -> float:
+    """Round the exact ``v / den`` (``v`` an int or a Fraction) to a
+    float on the safe side: ``>=`` it when ``up``, ``<=`` it otherwise.
+    Beyond the float range the safe side is an infinity or the largest
+    finite float."""
+    if type(v) is not int:
+        v, den = v.numerator, v.denominator * den
+    try:
+        f = v / den  # int true division is correctly rounded
+    except OverflowError:
+        big = sys.float_info.max
+        if up:
+            return math.inf if v > 0 else -big
+        return big if v > 0 else -math.inf
+    fn, fd = f.as_integer_ratio()
+    if (fn * den < v * fd) if up else (fn * den > v * fd):
+        f = math.nextafter(f, math.inf if up else -math.inf)
     return f
 
 
@@ -147,44 +175,49 @@ def presolve_arrays(
     }
     info.stats = stats
 
-    # Exact working state.  Bounds as Fractions (or ±inf sentinels kept
-    # as floats); integer bounds are rounded inward up front.
+    # Exact working state.  Each row is scaled by its own power of two
+    # into ints (comparisons and ``room / a`` quotients are invariant
+    # under that scale).  A bound is an int, a Fraction only for a
+    # fractional continuous bound, or a ±inf float sentinel; integer
+    # bounds are rounded inward up front.
+    integral = [bool(v) for v in integrality]
     lb: List[object] = []
     ub: List[object] = []
     for j, (lo, hi) in enumerate(bounds):
-        lo_v = _frac(lo) if math.isfinite(lo) else -math.inf
-        hi_v = _frac(hi) if math.isfinite(hi) else math.inf
-        if integrality[j]:
+        lo_v = _exact(*float(lo).as_integer_ratio()) if math.isfinite(lo) else -math.inf
+        hi_v = _exact(*float(hi).as_integer_ratio()) if math.isfinite(hi) else math.inf
+        if integral[j]:
             if lo_v != -math.inf:
-                lo_v = Fraction(math.ceil(lo_v))
+                lo_v = math.ceil(lo_v)
             if hi_v != math.inf:
-                hi_v = Fraction(math.floor(hi_v))
+                hi_v = math.floor(hi_v)
         lb.append(lo_v)
         ub.append(hi_v)
 
+    def scaled_rows(mat: np.ndarray, rhs: np.ndarray):
+        rows, rhs_out, dens = [], [], []
+        for i in range(mat.shape[0]):
+            cols = np.flatnonzero(mat[i]).tolist()
+            ints, den = scale_row(mat[i, cols].tolist() + [float(rhs[i])])
+            rows.append(dict(zip(cols, ints)))
+            rhs_out.append(ints[-1])
+            dens.append(den)
+        return rows, rhs_out, dens
+
     alive_ub = np.ones(a_ub.shape[0], dtype=bool)
     alive_eq = np.ones(a_eq.shape[0], dtype=bool)
-    ub_rows: List[Dict[int, Fraction]] = []
-    for i in range(a_ub.shape[0]):
-        cols = np.flatnonzero(a_ub[i])
-        ub_rows.append({int(j): _frac(a_ub[i, j]) for j in cols})
-    ub_rhs = [_frac(v) for v in b_ub]
-    eq_rows: List[Dict[int, Fraction]] = []
-    for i in range(a_eq.shape[0]):
-        cols = np.flatnonzero(a_eq[i])
-        eq_rows.append({int(j): _frac(a_eq[i, j]) for j in cols})
-    eq_rhs = [_frac(v) for v in b_eq]
+    ub_rows, ub_rhs, ub_den = scaled_rows(a_ub, b_ub)
+    eq_rows, eq_rhs, _ = scaled_rows(a_eq, b_eq)
 
-    def term_range(j: int, a: Fraction):
+    def term_range(j: int, a):
         lo_t = a * lb[j] if lb[j] != -math.inf else (-math.inf if a > 0 else math.inf)
         hi_t = a * ub[j] if ub[j] != math.inf else (math.inf if a > 0 else -math.inf)
         if a < 0:
             lo_t, hi_t = hi_t, lo_t
         return lo_t, hi_t
 
-    def set_lb(j: int, v: Fraction) -> bool:
-        if integrality[j]:
-            v = Fraction(math.ceil(v))
+    def set_lb(j: int, num, a) -> bool:
+        v = _div(num, a, integral[j], up=True)
         if lb[j] == -math.inf or v > lb[j]:
             lb[j] = v
             stats["bounds_tightened"] += 1
@@ -198,9 +231,8 @@ def presolve_arrays(
             stats["stopped"] = 1
         return bool(stats["stopped"])
 
-    def set_ub(j: int, v: Fraction) -> bool:
-        if integrality[j]:
-            v = Fraction(math.floor(v))
+    def set_ub(j: int, num, a) -> bool:
+        v = _div(num, a, integral[j], up=False)
         if ub[j] == math.inf or v < ub[j]:
             ub[j] = v
             stats["bounds_tightened"] += 1
@@ -228,17 +260,18 @@ def presolve_arrays(
             if not alive_eq[i] or len(row) != 1:
                 continue
             (j, a), = row.items()
-            v = eq_rhs[i] / a
-            if integrality[j] and v.denominator != 1:
+            b = eq_rhs[i]
+            if integral[j] and b % a:
                 # Integer variable forced fractional: set_lb ceils and
                 # set_ub floors, so the bounds cross — the root LP then
                 # reports INFEASIBLE from the empty box.
-                set_lb(j, v)
-                set_ub(j, v)
+                set_lb(j, b, a)
+                set_ub(j, b, a)
                 break
-            if float(v) != v:
+            v = _exact(b, a)
+            if _outward(v, up=True) != v:
                 continue  # not float-representable: leave the row in
-            hit = set_lb(j, v) | set_ub(j, v)
+            hit = set_lb(j, b, a) | set_ub(j, b, a)
             alive_eq[i] = False
             stats["rows_dropped"] += 1
             stats["vars_fixed"] += 1
@@ -256,16 +289,16 @@ def presolve_arrays(
             if len(row) == 1:
                 (j, a), = row.items()
                 if a > 0:
-                    changed |= set_ub(j, b / a)
+                    changed |= set_ub(j, b, a)
                 else:
-                    changed |= set_lb(j, b / a)
+                    changed |= set_lb(j, b, a)
                 alive_ub[i] = False
                 stats["rows_dropped"] += 1
                 if info.infeasible:
                     break
                 continue
             ranges = {j: term_range(j, a) for j, a in row.items()}
-            max_act = _ZERO
+            max_act = 0
             inf_hi = 0
             for j, (_, hi_t) in ranges.items():
                 if hi_t == math.inf:
@@ -278,7 +311,7 @@ def presolve_arrays(
                 stats["rows_dropped"] += 1
                 changed = True
                 continue
-            min_act = _ZERO
+            min_act = 0
             inf_lo = 0
             for j, (lo_t, _) in ranges.items():
                 if lo_t == -math.inf:
@@ -290,12 +323,11 @@ def presolve_arrays(
                 lo_t, _ = ranges[j]
                 if inf_lo - (1 if lo_t == -math.inf else 0) > 0:
                     continue  # another term is unbounded below
-                others = min_act - (lo_t if lo_t != -math.inf else _ZERO)
-                room = b - others
+                room = b - min_act + (lo_t if lo_t != -math.inf else 0)
                 if a > 0:
-                    changed |= set_ub(j, room / a)
+                    changed |= set_ub(j, room, a)
                 else:
-                    changed |= set_lb(j, room / a)
+                    changed |= set_lb(j, room, a)
                 if info.infeasible:
                     break
                 # Bounds moved: refresh this row's cached ranges.
@@ -307,20 +339,22 @@ def presolve_arrays(
             # coefficient is larger than the disjunction needs.
             if inf_hi == 0:
                 for j, a in list(row.items()):
-                    if a >= 0 or not integrality[j]:
+                    if a >= 0 or not integral[j]:
                         continue
-                    if lb[j] != _ZERO or ub[j] != Fraction(1):
+                    if lb[j] != 0 or ub[j] != 1:
                         continue
                     hi_t = ranges[j][1]  # 0 for a < 0, binary j
                     excess = (max_act - hi_t) - b
-                    if excess <= _ZERO:
+                    if excess <= 0:
                         continue  # row is redundant at x_j = 0; next pass drops it
                     if -a > excess:
-                        new_a = -excess
                         # Round toward -inf: a more negative coefficient
                         # only weakens the row, so the stored float is
                         # never tighter than the proven value.
-                        row[j] = Fraction(_lb_float(new_a))
+                        coef = _outward(-excess, up=False, den=ub_den[i])
+                        a_ub[i, j] = coef
+                        fn, fd = coef.as_integer_ratio()
+                        row[j] = _exact(fn * ub_den[i], fd)
                         max_act = max_act - hi_t + term_range(j, row[j])[1]
                         stats["coeffs_strengthened"] += 1
                         changed = True
@@ -328,12 +362,8 @@ def presolve_arrays(
     # Materialize the reduced arrays.
     info.kept_ub = [int(i) for i in np.flatnonzero(alive_ub)]
     info.kept_eq = [int(i) for i in np.flatnonzero(alive_eq)]
-    new_a_ub = np.zeros((len(info.kept_ub), n))
-    new_b_ub = np.zeros(len(info.kept_ub))
-    for out, i in enumerate(info.kept_ub):
-        for j, a in ub_rows[i].items():
-            new_a_ub[out, j] = float(a)
-        new_b_ub[out] = float(ub_rhs[i])
+    new_a_ub = a_ub[alive_ub]
+    new_b_ub = b_ub[alive_ub]
     new_a_eq = a_eq[alive_eq].copy() if a_eq.shape[0] else a_eq
     new_b_eq = b_eq[alive_eq].copy() if a_eq.shape[0] else b_eq
 
@@ -341,12 +371,8 @@ def presolve_arrays(
     for j in range(n):
         lo_v = lb[j]
         hi_v = ub[j]
-        if integrality[j]:
-            lo_f = float(lo_v) if lo_v != -math.inf else -math.inf
-            hi_f = float(hi_v) if hi_v != math.inf else math.inf
-        else:
-            lo_f = _lb_float(lo_v) if lo_v != -math.inf else -math.inf
-            hi_f = _ub_float(hi_v) if hi_v != math.inf else math.inf
+        lo_f = _outward(lo_v, up=False) if lo_v != -math.inf else -math.inf
+        hi_f = _outward(hi_v, up=True) if hi_v != math.inf else math.inf
         new_bounds.append((lo_f, hi_f))
 
     return new_a_ub, new_b_ub, new_a_eq, new_b_eq, new_bounds, info

@@ -39,8 +39,11 @@ constant                  meaning
 ``CERT_EPS``              exact-arithmetic certificate slack: the
                           :mod:`repro.certify` checkers accept primal /
                           dual / complementary-slackness residuals up
-                          to this (a :class:`fractions.Fraction`, so
-                          the checker itself never rounds)
+                          to this.  It is the rational ``p/q`` of a
+                          :class:`fractions.Fraction`: a row replayed
+                          on scaled ints (:mod:`repro.ilp.exact`)
+                          fails when ``resid * q > p * (mass + |b|)``,
+                          so the checker itself never rounds
 ``MILP_GAP_RTOL``         relative slack when auditing a reported MILP
                           gap against the replayed incumbent and bound
 ``CUT_VIOLATION_EPS``     minimum violation of the fractional optimum a
@@ -80,7 +83,8 @@ CHECK_EPS = 1e-6
 #: ``||A x - b||_inf`` threshold of the residual monitor.
 RESIDUAL_EPS = 1e-7
 
-#: Exact-arithmetic certificate slack (a Fraction: the checker is exact).
+#: Exact-arithmetic certificate slack (a Fraction ``p/q``: the scaled-int
+#: row replay compares ``resid * q`` against ``p * (mass + |b|)``).
 CERT_EPS = Fraction(1, 10**6)
 
 #: Relative slack when auditing a reported MILP gap.

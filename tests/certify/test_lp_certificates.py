@@ -5,17 +5,23 @@ scipy/HiGHS linprog as an external reference) solves the same seeded
 random LPs; the
 :mod:`repro.certify` layer must be able to certify every OPTIMAL answer
 through the duality-gap proof, and every INFEASIBLE answer that carries
-a Farkas ray.
+a Farkas ray.  A non-finite claimed value fails its certificate
+instead of raising.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.certify.lp import certify_lp
+from repro.certify.lp import certify_assignment, certify_lp, certify_solution
+from repro.ilp import Model
+from repro.ilp.constraint import Constraint, Sense
+from repro.ilp.expr import LinExpr
 from repro.ilp.compiled import CompiledModel, LpResult
-from repro.ilp.solution import SolveStatus
+from repro.ilp.solution import Solution, SolveStatus
 
 
 def _random_lp(rng: np.random.Generator, n: int = 6, m: int = 4):
@@ -207,3 +213,60 @@ def test_tampered_solution_vector_is_rejected() -> None:
     cert = certify_lp(result, c, a_ub, b_ub, a_eq, b_eq, bounds)
     assert not cert.ok
     assert any(v.kind == "lp-primal-infeasible" for v in cert.violations)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_lp_vector_fails_not_raises(bad: float) -> None:
+    """A NaN or infinite entry in a claimed x fails the certificate,
+    with a violation that names the entry."""
+    c = np.array([1.0, 1.0])
+    a_ub = np.array([[1.0, 1.0]])
+    b_ub = np.array([2.0])
+    a_eq = np.zeros((0, 2))
+    b_eq = np.zeros(0)
+    result = LpResult(SolveStatus.OPTIMAL, x=np.array([bad, 1.0]), objective=1.0)
+    cert = certify_lp(result, c, a_ub, b_ub, a_eq, b_eq, [(0.0, 5.0)] * 2)
+    assert cert.status == "failed"
+    assert [(v.kind, v.subject) for v in cert.violations] == [("lp-non-finite", "x[0]")]
+    assert str(bad) in cert.violations[0].detail
+
+
+def _one_variable_model():
+    model = Model("one")
+    x = model.add_continuous("x", ub=10.0)
+    model.add_constr(x <= 5.0, "cap")
+    model.minimize(x)
+    return model, x
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_milp_value_fails_not_raises(bad: float) -> None:
+    model, x = _one_variable_model()
+    sol = Solution(SolveStatus.FEASIBLE, objective=1.0, values={x: bad})
+    cert = certify_solution(model, sol)
+    assert cert.status == "failed"
+    assert [(v.kind, v.subject) for v in cert.violations] == [("milp-non-finite", "x")]
+    assert str(bad) in cert.violations[0].detail
+    # The heuristic lanes' entry point evaluates the objective itself.
+    assert certify_assignment(model, {x: bad}).status == "failed"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_milp_objective_fails_not_raises(bad: float) -> None:
+    model, x = _one_variable_model()
+    sol = Solution(SolveStatus.FEASIBLE, objective=bad, values={x: 1.0})
+    cert = certify_solution(model, sol)
+    assert cert.status == "failed"
+    assert [(v.kind, v.subject) for v in cert.violations] == [
+        ("milp-non-finite", "objective")
+    ]
+
+
+def test_non_finite_milp_coefficient_fails_not_raises() -> None:
+    model, x = _one_variable_model()
+    model.add_constr(Constraint(LinExpr({x: math.nan}), Sense.LE, 1.0), "nan-row")
+    cert = certify_solution(model, Solution(SolveStatus.FEASIBLE, 1.0, {x: 1.0}))
+    assert cert.status == "failed"
+    assert [(v.kind, v.subject) for v in cert.violations] == [
+        ("milp-non-finite", "nan-row")
+    ]
