@@ -35,6 +35,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.certify.lp import Certificate
+from repro.ilp.sparse import as_csr, row_items
 from repro.ilp.tolerances import CERT_EPS
 
 _ZERO = Fraction(0)
@@ -46,15 +47,16 @@ def _frac(v: float) -> Fraction:
 
 def certify_cut(
     cut,
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     integrality: np.ndarray,
 ) -> Certificate:
     """Verify that ``cut.row @ x <= cut.rhs`` holds for every
-    mixed-integer point of the given arrays."""
+    mixed-integer point of the given arrays (dense or sparse rows)."""
+    a_ub, a_eq = as_csr(a_ub, len(bounds)), as_csr(a_eq, len(bounds))
     if cut.kind == "gomory":
         return _certify_gomory(cut, a_ub, b_ub, a_eq, b_eq, bounds, integrality)
     if cut.kind == "cover":
@@ -66,9 +68,9 @@ def certify_cut(
 
 def _certify_gomory(
     cut,
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     integrality: np.ndarray,
@@ -95,14 +97,15 @@ def _certify_gomory(
     # continuous slack term is dropped from the floored sum).
     cert.ran("gomory-slack-conditions")
     slack_integral = {}
+    ub_rows: Dict[int, Dict[int, float]] = {}
     for i in range(m_ub):
         if lam[i] == _ZERO:
             continue
-        cols = np.flatnonzero(a_ub[i])
+        row = ub_rows[i] = row_items(a_ub, i)
         integral = (
             float(b_ub[i]).is_integer()
-            and all(float(a_ub[i, j]).is_integer() for j in cols)
-            and all(bool(integrality[j]) for j in cols)
+            and all(a.is_integer() for a in row.values())
+            and all(bool(integrality[j]) for j in row)
         )
         slack_integral[i] = integral
         if not integral and lam[i] < _ZERO:
@@ -120,15 +123,15 @@ def _certify_gomory(
         if lam[i] == _ZERO:
             continue
         r0 += lam[i] * _frac(b_ub[i])
-        for j in np.flatnonzero(a_ub[i]):
-            r[int(j)] = r.get(int(j), _ZERO) + lam[i] * _frac(a_ub[i, j])
+        for j, a in ub_rows[i].items():
+            r[j] = r.get(j, _ZERO) + lam[i] * _frac(a)
     for k in range(a_eq.shape[0]):
         li = lam[m_ub + k]
         if li == _ZERO:
             continue
         r0 += li * _frac(b_eq[k])
-        for j in np.flatnonzero(a_eq[k]):
-            r[int(j)] = r.get(int(j), _ZERO) + li * _frac(a_eq[k, j])
+        for j, a in row_items(a_eq, k).items():
+            r[j] = r.get(j, _ZERO) + li * _frac(a)
 
     # Shift according to the recorded pattern, checking each shift is
     # legitimate (finite bound; integer bound for integer variables).
@@ -208,8 +211,8 @@ def _certify_gomory(
         if fi == _ZERO:
             continue
         g0 -= fi * _frac(b_ub[i])
-        for j in np.flatnonzero(a_ub[i]):
-            g[int(j)] = g.get(int(j), _ZERO) - fi * _frac(a_ub[i, j])
+        for j, a in ub_rows[i].items():
+            g[j] = g.get(j, _ZERO) - fi * _frac(a)
 
     # Domination: the stored float row must be implied by the exact cut
     # over the bound box.
@@ -242,7 +245,7 @@ def _certify_gomory(
 
 def _certify_cover(
     cut,
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     integrality: np.ndarray,
@@ -259,9 +262,9 @@ def _certify_cover(
     comp = set(cut.complemented or ())
 
     cert.ran("cover-binary-support")
-    support = set(int(j) for j in np.flatnonzero(a_ub[i]))
+    row = row_items(a_ub, i)
     for j in cut.cover:
-        if j not in support:
+        if j not in row:
             cert.fail(
                 "cut-cover", f"x[{j}]", "cover variable outside row support"
             )
@@ -276,12 +279,12 @@ def _certify_cover(
     # The cover property, exactly: complemented knapsack must overflow.
     cert.ran("cover-overflow")
     b_p = _frac(b_ub[i])
-    for j in support:
-        if _frac(a_ub[i, j]) < _ZERO:
-            b_p -= _frac(a_ub[i, j])
+    for a in row.values():
+        if a < 0.0:
+            b_p -= _frac(a)
     acc = _ZERO
     for j in cut.cover:
-        aij = _frac(a_ub[i, j])
+        aij = _frac(row[j])
         if (j in comp) != (aij < _ZERO):
             cert.fail(
                 "cut-cover", f"x[{j}]",

@@ -7,8 +7,9 @@ tolerance below exists only to absorb the *solver's* float error, never
 the checker's.  Row, bound, integrality and objective replays run on
 scaled Python ints (:mod:`repro.ilp.exact`: every finite float is
 dyadic); the LP dual and Farkas aggregates, whose multipliers mix rows,
-stay :class:`fractions.Fraction`.  A non-finite claimed value fails its
-certificate instead of raising.
+stay :class:`fractions.Fraction` and walk the constraint columns'
+nonzeros.  A non-finite claimed value fails its certificate instead of
+raising.
 
 Certificate math (DESIGN.md §10):
 
@@ -22,10 +23,10 @@ Certificate math (DESIGN.md §10):
 * **INFEASIBLE** — a Farkas ray ``y`` (``y <= 0`` on the ``<=`` rows)
   aggregates the rows into ``q = y A``; if ``y b`` exceeds the maximum
   of ``q x`` over the variable box, no feasible point can exist.
-* **MILP** — the incumbent is replayed against every original
-  :class:`~repro.ilp.constraint.Constraint` (not the matrix export, so
-  a ``to_arrays`` bug cannot blind both the solver and the checker),
-  and the reported objective / best bound / gap are cross-checked.
+* **MILP** — the incumbent is replayed against every row of the
+  model's CSR store (:meth:`~repro.ilp.model.Model.rows`, the rows the
+  solvers read), and the reported objective / best bound / gap are
+  cross-checked.
 """
 
 from __future__ import annotations
@@ -39,10 +40,14 @@ import numpy as np
 
 from repro.certify.report import Violation
 from repro.ilp.exact import Ratio, beyond, common, row_sums, row_violated, to_float
+from repro.ilp.model import EQ, GE, LE, ObjectiveSense
 from repro.ilp.solution import SolveStatus
+from repro.ilp.sparse import as_csr
 from repro.ilp.tolerances import CERT_EPS, GAP_EPS, MILP_GAP_RTOL
 
 _ZERO = Fraction(0)
+#: Row sense codes of :class:`repro.ilp.model.Rows` as replay senses.
+_SENSES = {LE: "<=", GE: ">=", EQ: "=="}
 
 
 @dataclass
@@ -128,9 +133,9 @@ def _gate_finite(cert: Certificate, name: str, values: Sequence[float]) -> None:
 def certify_lp(
     result,
     c: np.ndarray,
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     eps: Fraction = CERT_EPS,
@@ -141,11 +146,12 @@ def certify_lp(
     OPTIMAL verdicts get a primal-feasibility replay plus (when the
     solve attached duals) a dual-feasibility / weak-duality proof;
     INFEASIBLE verdicts get a Farkas-ray check.  Other statuses are
-    unverifiable here and return a ``skipped`` certificate.
+    unverifiable here and return a ``skipped`` certificate.  The rows
+    may be dense or sparse; they are read as CSR.
     """
     n = len(c)
-    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n) if np.size(a_ub) else np.zeros((0, n))
-    a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if np.size(a_eq) else np.zeros((0, n))
+    a_ub = as_csr(a_ub, n)
+    a_eq = as_csr(a_eq, n)
     b_ub = np.asarray(b_ub, dtype=float).ravel()
     b_eq = np.asarray(b_eq, dtype=float).ravel()
     eps = Fraction(eps)
@@ -158,12 +164,31 @@ def certify_lp(
     return cert
 
 
+def _column_products(a_ub, a_eq, y: List[Fraction]) -> List[Fraction]:
+    """``y A`` exactly, for ``A = [a_ub; a_eq]``: each column's nonzeros
+    (CSC) are walked once, skipping rows whose multiplier is zero."""
+    from scipy.sparse import vstack
+
+    csc = vstack([a_ub, a_eq], format="csc")
+    ptr = csc.indptr.tolist()
+    rows = csc.indices.tolist()
+    coefs = csc.data.tolist()
+    out = []
+    for j in range(csc.shape[1]):
+        acc = _ZERO
+        for k in range(ptr[j], ptr[j + 1]):
+            if y[rows[k]]:
+                acc += y[rows[k]] * _frac(coefs[k])
+        out.append(acc)
+    return out
+
+
 def _certify_optimal(
     result,
     c: np.ndarray,
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     eps: Fraction,
@@ -190,10 +215,9 @@ def _certify_optimal(
         ("ub", a_ub, b_ub, "<="),
         ("eq", a_eq, b_eq, "=="),
     ):
-        rows, cols = np.nonzero(mat)
-        coefs = mat[rows, cols].tolist()
-        cols = cols.tolist()
-        starts = np.searchsorted(rows, np.arange(mat.shape[0] + 1)).tolist()
+        coefs = mat.data.tolist()
+        cols = mat.indices.tolist()
+        starts = mat.indptr.tolist()
         for i in range(mat.shape[0]):
             lo, hi = starts[i], starts[i + 1]
             b_i = float(rhs[i])
@@ -275,14 +299,9 @@ def _certify_optimal(
     for k in range(a_eq.shape[0]):
         g += y[m_ub + k] * _frac(b_eq[k])
     allowance = _ZERO
+    ya = _column_products(a_ub, a_eq, y)
     for j in range(len(x)):
-        d = cF[j]
-        for i in range(m_ub):
-            if a_ub[i, j] != 0.0:
-                d -= y[i] * _frac(a_ub[i, j])
-        for k in range(a_eq.shape[0]):
-            if a_eq[k, j] != 0.0:
-                d -= y[m_ub + k] * _frac(a_eq[k, j])
+        d = cF[j] - ya[j]
         lo, hi = bounds[j]
         reach = max(
             abs(_frac(lo)) if _finite(lo) else _ZERO,
@@ -324,9 +343,9 @@ def _certify_optimal(
 def _certify_infeasible(
     result,
     c: np.ndarray,
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     eps: Fraction,
@@ -372,16 +391,7 @@ def _certify_infeasible(
         yb += y[i] * _frac(b_ub[i])
     for k in range(a_eq.shape[0]):
         yb += y[m_ub + k] * _frac(b_eq[k])
-    q = [_ZERO] * len(bounds)
-    for j in range(len(bounds)):
-        acc = _ZERO
-        for i in range(m_ub):
-            if a_ub[i, j] != 0.0:
-                acc += y[i] * _frac(a_ub[i, j])
-        for k in range(a_eq.shape[0]):
-            if a_eq[k, j] != 0.0:
-                acc += y[m_ub + k] * _frac(a_eq[k, j])
-        q[j] = acc
+    q = _column_products(a_ub, a_eq, y)
 
     upper = _ZERO
     allowance = _ZERO
@@ -432,16 +442,14 @@ def certify_solution(model, solution, eps: Fraction = CERT_EPS) -> Certificate:
     """Replay a MILP :class:`~repro.ilp.solution.Solution` against the
     original :class:`~repro.ilp.model.Model`, exactly.
 
-    Works at the :class:`Constraint` level (never through
-    ``Model.to_arrays``), so a matrix-export bug cannot blind both the
-    solver and this check.  Bounds, integrality, rows and the objective
-    replay on scaled ints (:mod:`repro.ilp.exact`).  Also audits the
-    reported objective and — when the backend published one — the
-    claimed best bound / gap.  A non-finite value, objective or
-    coefficient fails the certificate; it never raises.
+    Replays the model's own CSR store (:meth:`Model.rows`), the rows
+    every solver reads, with their senses and names.  Bounds,
+    integrality, rows and the objective replay on scaled ints
+    (:mod:`repro.ilp.exact`).  Also audits the reported objective and —
+    when the backend published one — the claimed best bound / gap.  A
+    non-finite value, objective or coefficient fails the certificate;
+    it never raises.
     """
-    from repro.ilp.model import ObjectiveSense
-
     cert = Certificate(kind="milp")
     if not solution.status.has_solution:
         cert.status = "skipped"
@@ -450,11 +458,11 @@ def certify_solution(model, solution, eps: Fraction = CERT_EPS) -> Certificate:
 
     eps = Fraction(eps)
     cert.ran("milp-finite")
-    values: Dict[Any, Ratio] = {}
+    values: List[Ratio] = []
     for var in model.variables:
         val = float(solution.values.get(var, 0.0))
         if _finite(val):
-            values[var] = val.as_integer_ratio()
+            values.append(val.as_integer_ratio())
         else:
             cert.fail(
                 "milp-non-finite", var.name, f"variable value is {val}",
@@ -471,8 +479,7 @@ def certify_solution(model, solution, eps: Fraction = CERT_EPS) -> Certificate:
 
     cert.ran("milp-bounds")
     cert.ran("milp-integrality")
-    for var in model.variables:
-        vn, vd = values[var]
+    for var, (vn, vd) in zip(model.variables, values):
         for bound, below in ((var.lb, True), (var.ub, False)):
             if _finite(bound) and _outside((vn, vd), bound, below, eps):
                 cert.fail(
@@ -493,31 +500,35 @@ def certify_solution(model, solution, eps: Fraction = CERT_EPS) -> Certificate:
                 )
 
     cert.ran("milp-constraints")
-    for idx, con in enumerate(model.constraints):
-        terms = con.expr.terms
+    rows = model.rows()
+    ptr, cols, coefs = (a.tolist() for a in (rows.indptr, rows.indices, rows.data))
+    senses = [_SENSES[code] for code in rows.sense.tolist()]
+    for idx, rhs in enumerate(rows.rhs.tolist()):
+        lo, hi = ptr[idx], ptr[idx + 1]
         try:
             lhs = row_violated(
-                terms.values(), map(values.__getitem__, terms),
-                con.rhs, con.sense.value, eps,
+                coefs[lo:hi], map(values.__getitem__, cols[lo:hi]),
+                rhs, senses[idx], eps,
             )
         except (ValueError, OverflowError):
             cert.fail(
-                "milp-non-finite", con.name or f"constraint {idx}",
+                "milp-non-finite", rows.names[idx] or f"constraint {idx}",
                 "row carries a non-finite coefficient or right-hand side",
             )
             continue
         if lhs is not None:
             cert.fail(
-                "milp-constraint", con.name or f"constraint {idx}",
+                "milp-constraint", rows.names[idx] or f"constraint {idx}",
                 "replayed incumbent violates this row",
-                measured=lhs, expected=con.rhs,
+                measured=lhs, expected=rhs,
             )
 
     cert.ran("milp-objective")
     objective = model.objective
     try:
         on, _, od = row_sums(
-            objective.terms.values(), map(values.__getitem__, objective.terms)
+            objective.terms.values(),
+            (values[var.index] for var in objective.terms),
         )
         on, cn, od = common((on, od), objective.constant.as_integer_ratio())
     except (ValueError, OverflowError):

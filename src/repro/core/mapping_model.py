@@ -19,6 +19,11 @@ variables: with the one-hot selection row they are exact linear
 expressions of the selection variables, which keeps the model smaller
 than the paper's literal formulation without changing its feasible set.
 
+Each constraint family is emitted as one block of CSR rows
+(:meth:`repro.ilp.model.Model.add_rows`) by numpy index arithmetic over
+the candidate columns; the per-candidate boundary and pump-ring arrays
+are memoized with the candidate set.  No expression objects are built.
+
 The builder also supports **committed placements** (constants) and a
 **base load** per valve, which is how the rolling-horizon windowed
 mapper re-uses the same model for large cases.
@@ -27,24 +32,53 @@ mapper re-uses the same model for large cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import SynthesisError
 from repro.geometry import GridSpec, Point
 from repro.architecture.device import DynamicDevice, Placement
 from repro.architecture.device_types import min_device_dimension, types_for_volume
 from repro.architecture.health import ChipHealth
-from repro.ilp import Constraint, LinExpr, Model, Var, quicksum
+from repro.ilp import Model, Var
+from repro.ilp.model import EQ, GE, LE
 from repro.core.tasks import MappingTask
 
 Pair = Tuple[str, str]
+
+
+@dataclass(frozen=True)
+class _Candidates:
+    """One candidate set plus the read-only per-candidate arrays the
+    builder indexes into: rectangle boundaries, and the pump ring of
+    candidate ``j`` as cell keys ``ring[ring_ptr[j]:ring_ptr[j + 1]]``.
+    A cell key is ``x * grid.height + y``, which sorts like
+    :class:`Point`."""
+
+    placements: Tuple[Placement, ...]
+    #: ``s[x,y,k,`` prefixes of the selection-variable names.
+    prefixes: Tuple[str, ...]
+    left: np.ndarray
+    right: np.ndarray
+    bottom: np.ndarray
+    top: np.ndarray
+    ring_ptr: np.ndarray
+    ring: np.ndarray
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
 
 #: Memoized candidate enumerations.  A placement candidate set depends
 #: only on (grid, anchor stride, blocked cells, volume class) — not on
 #: the task identity — and the windowed mapper rebuilds a fresh
 #: ``MappingSpec`` for every window/refinement probe, so a module-level
 #: cache turns the repeated grid sweeps into one enumeration per shape.
-_CANDIDATE_CACHE: Dict[Tuple, Tuple[Placement, ...]] = {}
+_CANDIDATE_CACHE: Dict[Tuple, _Candidates] = {}
 
 
 def _enumerate_candidates(
@@ -53,7 +87,7 @@ def _enumerate_candidates(
     blocked_cells: FrozenSet[Point],
     volume: int,
     health: Optional[ChipHealth] = None,
-) -> Tuple[Placement, ...]:
+) -> _Candidates:
     if health is not None and health.is_healthy:
         health = None  # one cache entry for every fully-healthy mask
     key = (grid, anchor_stride, blocked_cells, volume, health)
@@ -71,7 +105,23 @@ def _enumerate_candidates(
                 if health is not None and health.blocks_rect(rect):
                     continue
                 candidates.append(Placement(dtype, rect.corner))
-        cached = _CANDIDATE_CACHE[key] = tuple(candidates)
+        rects = [p.rect for p in candidates]
+        rings = [
+            [c.x * grid.height + c.y for c in p.pump_cells()] for p in candidates
+        ]
+        cached = _CANDIDATE_CACHE[key] = _Candidates(
+            tuple(candidates),
+            tuple(
+                f"s[{p.corner.x},{p.corner.y},{p.device_type.index},"
+                for p in candidates
+            ),
+            _frozen([r.left for r in rects]),
+            _frozen([r.right for r in rects]),
+            _frozen([r.bottom for r in rects]),
+            _frozen([r.top for r in rects]),
+            _frozen(np.cumsum([0] + [len(ring) for ring in rings])),
+            _frozen([k for ring in rings for k in ring]),
+        )
     return cached
 
 
@@ -152,11 +202,14 @@ class MappingSpec:
 
     def candidate_placements(self, task: MappingTask) -> Tuple[Placement, ...]:
         """All legal placements of one task on the grid (memoized)."""
+        return self._candidates(task).placements
+
+    def _candidates(self, task: MappingTask) -> _Candidates:
         candidates = _enumerate_candidates(
             self.grid, self.anchor_stride, self.blocked_cells, task.volume,
             self.health,
         )
-        if not candidates:
+        if not candidates.placements:
             dead = (
                 f" with {self.health.dead_count} dead resources"
                 if self.health is not None and not self.health.is_healthy
@@ -171,15 +224,13 @@ class MappingSpec:
 
 @dataclass
 class _Disjunction:
-    """One big-M non-overlap disjunction, kept for solution completion.
+    """One big-M non-overlap disjunction between devices ``a`` and ``b``,
+    kept for solution completion.  ``aux`` are the ``c1..c4`` binaries
+    of the sides a-left-of-b, b-left-of-a, a-below-b and b-below-a;
+    ``relax`` is the optional ``c5`` overlap permission."""
 
-    ``terms`` are the original (un-relaxed) boundary comparisons — they
-    are *not* model rows; :meth:`Model.add_big_m_disjunction` only adds
-    their relaxed twins.  ``aux`` are the ``c1..c4`` binaries in term
-    order, ``relax`` the optional ``c5`` overlap permission.
-    """
-
-    terms: List[Constraint]
+    a: str
+    b: str
     aux: List[Var]
     relax: Optional[Var]
 
@@ -193,12 +244,12 @@ class BuiltMapping:
     w: Var
     selections: Dict[str, List[Tuple[Placement, Var]]]
     c5_vars: Dict[Pair, Var]
-    #: recorded big-M disjunctions, per-cell load expressions (selection
-    #: terms plus the cell's base-load constant) and the committed-load
-    #: residual: everything :func:`complete_solution` needs to lift a
-    #: geometric placement assignment to a full variable-value vector.
+    #: recorded big-M disjunctions, the store's row range of the eq. (2)
+    #: load rows and the committed-load residual: everything
+    #: :func:`complete_solution` needs to lift a geometric placement
+    #: assignment to a full variable-value vector.
     disjunctions: List[_Disjunction] = field(default_factory=list)
-    load_exprs: List[LinExpr] = field(default_factory=list)
+    load_rows: Tuple[int, int] = (0, 0)
     load_residual: int = 0
 
     def extract_placements(self, solution) -> Dict[str, Placement]:
@@ -223,6 +274,41 @@ class BuiltMapping:
         ]
 
 
+class _Bound(NamedTuple):
+    """One boundary coordinate as ``sum(coefs * x[cols]) + const``."""
+
+    cols: np.ndarray
+    coefs: np.ndarray
+    const: int
+
+
+_NO_COLS = np.zeros(0, dtype=np.int64)
+
+
+class _RowBuffer(list):
+    """Rows ``(cols, coefs, sense, rhs, name)`` collected one at a time,
+    appended to the model as one block."""
+
+    def difference(
+        self, x: _Bound, y: _Bound, sense: int, bound: int, name: str,
+        extra: Tuple[np.ndarray, np.ndarray] = (_NO_COLS, _NO_COLS),
+    ) -> None:
+        """The row ``x - y + extra sense bound``."""
+        self.append((
+            np.concatenate([x.cols, y.cols, extra[0]]),
+            np.concatenate([x.coefs, -y.coefs, extra[1]]),
+            sense, bound - x.const + y.const, name,
+        ))
+
+    def flush(self, model: Model) -> None:
+        if self:
+            cols, coefs, sense, rhs, names = zip(*self)
+            model.add_rows(
+                np.repeat(np.arange(len(self)), [len(c) for c in cols]),
+                np.concatenate(cols), np.concatenate(coefs), sense, rhs, names,
+            )
+
+
 class MappingModelBuilder:
     """Builds the ILP of Section 3.2 for a :class:`MappingSpec`."""
 
@@ -236,55 +322,60 @@ class MappingModelBuilder:
         model = Model("dynamic-device-mapping")
         w = model.add_integer("w", lb=0)
 
+        # Selection columns: one contiguous block per task, in task order,
+        # right after w (column 0).
+        candidates = [spec._candidates(task) for task in spec.tasks]
+        starts: Dict[str, int] = {}
         selections: Dict[str, List[Tuple[Placement, Var]]] = {}
-        for task in spec.tasks:
-            options: List[Tuple[Placement, Var]] = []
-            for placement in spec.candidate_placements(task):
-                var = model.add_binary(
-                    f"s[{placement.corner.x},{placement.corner.y},"
-                    f"{placement.device_type.index},{task.name}]"
-                )
-                options.append((placement, var))
-            selections[task.name] = options
-            # eq. (1): every operation mapped to exactly one device.
-            model.add_constr(
-                quicksum(var for _, var in options) == 1,
-                name=f"one_device[{task.name}]",
-            )
+        for task, cand in zip(spec.tasks, candidates):
+            starts[task.name] = model.num_vars
+            selections[task.name] = [
+                (placement, model.add_binary(prefix + task.name + "]"))
+                for placement, prefix in zip(cand.placements, cand.prefixes)
+            ]
+        counts = np.array([len(c.placements) for c in candidates], dtype=np.int64)
 
-        load_exprs, load_residual = self._add_load_constraints(
-            model, w, selections
+        # eq. (1): every operation mapped to exactly one device.
+        model.add_rows(
+            np.repeat(np.arange(len(counts)), counts),
+            np.arange(1, 1 + counts.sum()),
+            np.ones(counts.sum()),
+            EQ, np.ones(len(counts)),
+            [f"one_device[{task.name}]" for task in spec.tasks],
         )
-        c5_vars, disjunctions = self._add_non_overlap(model, selections)
-        self._add_routing_convenient(model, selections)
+        load_rows, load_residual = self._add_load_constraints(
+            model, candidates, starts
+        )
+        bounds = self._boundaries(candidates, starts)
+        c5_vars, disjunctions = self._add_non_overlap(model, bounds)
+        self._add_routing_convenient(model, bounds)
 
         # Primary objective: the largest pump load (eq. 10).  When
         # refinement supplies discouraged cells, a tiny secondary term
         # steers ties away from re-loading them; the weight keeps the
         # total strictly below 1, so the integral primary objective is
         # never traded off.
-        objective = w.to_expr()
-        penalty_terms = []
+        cols, coefs = [0], [1.0]
         if spec.discouraged_cells:
-            for options in selections.values():
-                for placement, var in options:
-                    covered = sum(
-                        1
-                        for cell in placement.pump_cells()
-                        if cell in spec.discouraged_cells
-                    )
-                    if covered:
-                        penalty_terms.append((covered, var))
-        if penalty_terms:
-            weight = 0.9 / sum(c for c, _ in penalty_terms)
-            objective = objective + quicksum(
-                weight * c * var for c, var in penalty_terms
-            )
-        model.minimize(objective)
+            height = spec.grid.height
+            discouraged = [c.x * height + c.y for c in spec.discouraged_cells]
+            covered = np.concatenate([
+                np.add.reduceat(
+                    np.isin(c.ring, discouraged).astype(np.int64),
+                    c.ring_ptr[:-1],
+                )
+                for c in candidates
+            ] + [_NO_COLS])
+            hit = np.flatnonzero(covered)
+            if hit.size:
+                weight = 0.9 / int(covered.sum())
+                cols += (hit + 1).tolist()
+                coefs += (weight * covered[hit]).tolist()
+        model.set_cost(cols, coefs)
         return BuiltMapping(
             model, spec, w, selections, c5_vars,
             disjunctions=disjunctions,
-            load_exprs=load_exprs,
+            load_rows=load_rows,
             load_residual=load_residual,
         )
 
@@ -293,90 +384,88 @@ class MappingModelBuilder:
     def _add_load_constraints(
         self,
         model: Model,
-        w: Var,
-        selections: Dict[str, List[Tuple[Placement, Var]]],
-    ) -> Tuple[List[LinExpr], int]:
+        candidates: List[_Candidates],
+        starts: Dict[str, int],
+    ) -> Tuple[Tuple[int, int], int]:
+        """One row ``sum(p_i * s) - w <= -base_load`` per valve some
+        candidate pumps on, in valve order; returns their row range and
+        the committed-only residual bound on ``w``."""
         spec = self.spec
-        rate = {task.name: task.pump_rate for task in spec.tasks}
-        cell_terms: Dict[Point, List[Tuple[int, Var]]] = {}
-        for name, options in selections.items():
-            for placement, var in options:
-                for cell in placement.pump_cells():
-                    cell_terms.setdefault(cell, []).append((rate[name], var))
-        load_exprs: List[LinExpr] = []
-        for cell, terms in sorted(cell_terms.items()):
-            load = quicksum(r * var for r, var in terms) + spec.base_load.get(
-                cell, 0
-            )
-            load_exprs.append(load)
-            model.add_constr(
-                load <= w, name=f"load[{cell.x},{cell.y}]"
-            )
+        height = spec.grid.height
+        keys = np.concatenate([c.ring for c in candidates] + [_NO_COLS])
+        cols = np.concatenate([
+            starts[task.name]
+            + np.repeat(np.arange(len(c.placements)), np.diff(c.ring_ptr))
+            for task, c in zip(spec.tasks, candidates)
+        ] + [_NO_COLS])
+        rates = np.concatenate([
+            np.full(len(c.ring), task.pump_rate)
+            for task, c in zip(spec.tasks, candidates)
+        ] + [_NO_COLS])
+        cells, row = np.unique(keys, return_inverse=True)
+        base = {p.x * height + p.y: load for p, load in spec.base_load.items()}
+        first = model.num_constrs
+        model.add_rows(
+            np.concatenate([row, np.arange(len(cells))]),
+            np.concatenate([cols, np.zeros(len(cells), dtype=np.int64)]),
+            np.concatenate([rates, np.full(len(cells), -1)]).astype(float),
+            LE,
+            [-base.get(k, 0) for k in cells.tolist()],
+            [f"load[{k // height},{k % height}]" for k in cells.tolist()],
+        )
         # Valves loaded only by committed devices still bound w.
+        pumped = set(cells.tolist())
         residual = max(
-            (
-                load
-                for cell, load in spec.base_load.items()
-                if cell not in cell_terms
-            ),
-            default=0,
+            (load for k, load in base.items() if k not in pumped), default=0
         )
         if residual:
-            model.add_constr(w >= residual, name="load[committed]")
-        return load_exprs, residual
+            model.add_rows([0], [0], [1.0], GE, [residual], ["load[committed]"])
+        return (first, first + len(cells)), residual
 
     # -- eqs. (3)-(8) + (12): non-overlap -------------------------------------
 
     def _boundaries(
-        self,
-        name: str,
-        selections: Dict[str, List[Tuple[Placement, Var]]],
-    ) -> Tuple[LinExpr, LinExpr, LinExpr, LinExpr]:
-        """(b_le, b_ri, b_do, b_up) as linear expressions or constants."""
-        if name in selections:
-            options = selections[name]
-            b_le = quicksum(p.rect.left * v for p, v in options)
-            b_ri = quicksum(p.rect.right * v for p, v in options)
-            b_do = quicksum(p.rect.bottom * v for p, v in options)
-            b_up = quicksum(p.rect.top * v for p, v in options)
-            return b_le, b_ri, b_do, b_up
-        rect = self.spec.fixed[name].rect
-        return (
-            LinExpr({}, rect.left),
-            LinExpr({}, rect.right),
-            LinExpr({}, rect.bottom),
-            LinExpr({}, rect.top),
-        )
-
-    def _interval(self, name: str) -> Tuple[int, int]:
-        for task in self.spec.tasks:
-            if task.name == name:
-                return task.interval
-        device = self.spec.fixed[name]
-        return (device.start, device.end)
+        self, candidates: List[_Candidates], starts: Dict[str, int]
+    ) -> Dict[str, Tuple[_Bound, _Bound, _Bound, _Bound]]:
+        """(b_le, b_ri, b_do, b_up) of every task and committed device."""
+        bounds = {}
+        for name, device in self.spec.fixed.items():
+            r = device.rect
+            bounds[name] = tuple(
+                _Bound(_NO_COLS, _NO_COLS, v)
+                for v in (r.left, r.right, r.bottom, r.top)
+            )
+        for task, c in zip(self.spec.tasks, candidates):
+            cols = starts[task.name] + np.arange(len(c.placements))
+            bounds[task.name] = tuple(
+                _Bound(cols, v, 0) for v in (c.left, c.right, c.bottom, c.top)
+            )
+        return bounds
 
     def _add_non_overlap(
         self,
         model: Model,
-        selections: Dict[str, List[Tuple[Placement, Var]]],
+        bounds: Dict[str, Tuple[_Bound, _Bound, _Bound, _Bound]],
     ) -> Tuple[Dict[Pair, Var], List[_Disjunction]]:
         spec = self.spec
         big_m = spec.grid.width + spec.grid.height
         c5_vars: Dict[Pair, Var] = {}
         disjunctions: List[_Disjunction] = []
+        intervals = {name: (d.start, d.end) for name, d in spec.fixed.items()}
+        intervals.update((t.name, t.interval) for t in spec.tasks)
 
         names = [t.name for t in spec.tasks]
-        fixed_names = sorted(spec.fixed)
         task_pairs = [
             (names[i], names[j])
             for i in range(len(names))
             for j in range(i + 1, len(names))
         ]
-        mixed_pairs = [(f, t) for f in fixed_names for t in names]
+        mixed_pairs = [(f, t) for f in sorted(spec.fixed) for t in names]
 
+        rows = _RowBuffer()
         for a, b in task_pairs + mixed_pairs:
-            sa, ea = self._interval(a)
-            sb, eb = self._interval(b)
+            sa, ea = intervals[a]
+            sb, eb = intervals[b]
             if not (sa < eb and sb < ea):
                 continue  # lifetimes disjoint: may share area freely
             relax: Optional[Var] = None
@@ -388,21 +477,25 @@ class MappingModelBuilder:
             ):
                 relax = model.add_binary(f"c5[{pair[0]},{pair[1]}]")
                 c5_vars[pair] = relax
-            a_le, a_ri, a_do, a_up = self._boundaries(a, selections)
-            b_le, b_ri, b_do, b_up = self._boundaries(b, selections)
-            terms = [
-                a_ri <= b_le,  # a left of b
-                b_ri <= a_le,  # b left of a
-                a_up <= b_do,  # a below b
-                b_up <= a_do,  # b below a
-            ]
-            aux = model.add_big_m_disjunction(
-                terms,
-                big_m=big_m,
-                name=f"no_overlap[{a},{b}]",
-                relax_var=relax,
-            )
-            disjunctions.append(_Disjunction(terms, aux, relax))
+            name = f"no_overlap[{a},{b}]"
+            aux = [model.add_binary(f"{name}.c{k}") for k in range(1, 5)]
+            a_le, a_ri, a_do, a_up = bounds[a]
+            b_le, b_ri, b_do, b_up = bounds[b]
+            # eqs. (4)-(7), each relaxed by big M when its c_k is 1.
+            for k, (x, y) in enumerate(
+                ((a_ri, b_le), (b_ri, a_le), (a_up, b_do), (b_up, a_do))
+            ):
+                rows.difference(
+                    x, y, LE, 0, f"{name}.term{k + 1}",
+                    extra=(np.array([aux[k].index]), np.array([-big_m])),
+                )
+            # eq. (8), with the c5 permission of eq. (12).
+            card, ones = [var.index for var in aux], [1.0] * 4
+            if relax is not None:
+                card, ones = card + [relax.index], ones + [-1.0]
+            rows.append((np.array(card), np.array(ones), EQ, 3, f"{name}.card"))
+            disjunctions.append(_Disjunction(a, b, aux, relax))
+        rows.flush(model)
         return c5_vars, disjunctions
 
     # -- eqs. (13)-(16): routing-convenient mapping -----------------------------
@@ -410,26 +503,28 @@ class MappingModelBuilder:
     def _add_routing_convenient(
         self,
         model: Model,
-        selections: Dict[str, List[Tuple[Placement, Var]]],
+        bounds: Dict[str, Tuple[_Bound, _Bound, _Bound, _Bound]],
     ) -> None:
         spec = self.spec
         d = spec.resolved_distance_limit()
         if d is None:
             return
-        known = set(selections) | set(spec.fixed)
+        tasks = {t.name for t in spec.tasks}
+        rows = _RowBuffer()
         for parent, child in sorted(spec.parent_pairs):
-            if parent not in known or child not in known:
+            if parent not in bounds or child not in bounds:
                 continue
-            if parent not in selections and child not in selections:
+            if parent not in tasks and child not in tasks:
                 continue  # both committed: nothing left to constrain
-            c_le, c_ri, c_do, c_up = self._boundaries(child, selections)
-            p_le, p_ri, p_do, p_up = self._boundaries(parent, selections)
+            c_le, c_ri, c_do, c_up = bounds[child]
+            p_le, p_ri, p_do, p_up = bounds[parent]
             # Strict inequalities over integers: "> x - d" == ">= x-d+1".
             name = f"near[{parent},{child}]"
-            model.add_constr(c_ri - p_le >= 1 - d, f"{name}.ri")
-            model.add_constr(c_le - p_ri <= d - 1, f"{name}.le")
-            model.add_constr(c_up - p_do >= 1 - d, f"{name}.up")
-            model.add_constr(c_do - p_up <= d - 1, f"{name}.do")
+            rows.difference(c_ri, p_le, GE, 1 - d, f"{name}.ri")
+            rows.difference(c_le, p_ri, LE, d - 1, f"{name}.le")
+            rows.difference(c_up, p_do, GE, 1 - d, f"{name}.up")
+            rows.difference(c_do, p_up, LE, d - 1, f"{name}.do")
+        rows.flush(model)
 
 
 def complete_solution(
@@ -441,10 +536,10 @@ def complete_solution(
     placements, not variable vectors; the B&B incumbent injection and
     the MILP replay certificate both need every model variable valued.
     This derives them mechanically: selections become the one-hot
-    indicators, each non-overlap disjunction activates its first
-    geometrically satisfied term (falling back to the ``c5`` overlap
+    indicators, each non-overlap disjunction activates its first side
+    the two rectangles satisfy (falling back to the ``c5`` overlap
     permission when no side separates the pair), and ``w`` is the
-    maximum pump load the placements actually induce.
+    largest load the eq. (2) rows read at the placements.
 
     Returns None when the placements cannot satisfy the model — a task
     placed outside its candidate set (e.g. the greedy fallback tier
@@ -455,40 +550,36 @@ def complete_solution(
     examined here) and certify by exact MILP replay before the vector
     reaches a solver.
     """
-    values: Dict[Var, float] = {}
+    model = built.model
+    x = np.zeros(model.num_vars)
+    rects = {name: device.rect for name, device in built.spec.fixed.items()}
     for name, options in built.selections.items():
         chosen = placements.get(name)
-        if chosen is None:
+        col = next((var.index for p, var in options if p == chosen), None)
+        if col is None:
             return None
-        hit = False
-        for placement, var in options:
-            selected = placement == chosen
-            values[var] = 1.0 if selected else 0.0
-            hit = hit or selected
-        if not hit:
-            return None
+        x[col] = 1.0
+        rects[name] = chosen.rect
     for disjunction in built.disjunctions:
-        satisfied = next(
-            (
-                k
-                for k, term in enumerate(disjunction.terms)
-                if term.satisfied_by(values)
-            ),
-            None,
+        a, b = rects[disjunction.a], rects[disjunction.b]
+        sides = (
+            a.right <= b.left, b.right <= a.left,
+            a.top <= b.bottom, b.top <= a.bottom,
         )
-        if satisfied is None:
-            if disjunction.relax is None:
-                return None  # true overlap with no storage permission
-            values[disjunction.relax] = 1.0
-            for aux in disjunction.aux:
-                values[aux] = 1.0  # eq. 8 with c5 = 1: all rows off
+        if any(sides):
+            x[[aux.index for aux in disjunction.aux]] = 1.0
+            x[disjunction.aux[sides.index(True)].index] = 0.0
+        elif disjunction.relax is None:
+            return None  # true overlap with no storage permission
         else:
-            if disjunction.relax is not None:
-                values[disjunction.relax] = 0.0
-            for k, aux in enumerate(disjunction.aux):
-                values[aux] = 0.0 if k == satisfied else 1.0
-    w_value = built.load_residual
-    for expr in built.load_exprs:
-        w_value = max(w_value, int(round(expr.evaluate(values))))
-    values[built.w] = float(w_value)
-    return values
+            x[[aux.index for aux in disjunction.aux]] = 1.0  # eq. 8, c5 = 1
+            x[disjunction.relax.index] = 1.0
+    # A load row reads sum(p_i * s) - w <= -base: at w = 0 its activity
+    # minus its right-hand side is the valve's load.
+    rows = model.rows()
+    lo, hi = built.load_rows
+    loads = (rows.activity(x) - rows.rhs)[lo:hi]
+    x[built.w.index] = max(
+        [built.load_residual] + np.rint(loads).astype(int).tolist()
+    )
+    return dict(zip(model.variables, x.tolist()))

@@ -7,7 +7,8 @@ Gurobi is proprietary, so this package provides the substrate instead:
   :class:`~repro.ilp.model.Model`, :class:`~repro.ilp.variable.Var`,
   :class:`~repro.ilp.expr.LinExpr`,
   :class:`~repro.ilp.constraint.Constraint` — including the big-M
-  disjunction helper used for the non-overlap constraints (eqs. 3–8);
+  disjunction helper used for the non-overlap constraints (eqs. 3–8).
+  A model stores its rows once, as CSR, and every backend reads them;
 * one LP engine written from scratch: a **compiled-model
   bounded-variable revised simplex** (:mod:`repro.ilp.compiled`) over a
   sparse LU basis factorization, with a dual-simplex phase for warm

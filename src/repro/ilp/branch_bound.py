@@ -46,6 +46,7 @@ from repro.ilp.compiled import Basis, CompiledModel
 from repro.ilp.incumbent import IncumbentPool
 from repro.ilp.model import Model, ObjectiveSense
 from repro.ilp.solution import Solution, SolveStatus
+from repro.ilp.sparse import as_csr
 from repro.ilp.tolerances import GAP_EPS, INTEGRALITY_EPS
 from repro.obs import TELEMETRY
 from repro.resilience.faults import FAULTS
@@ -268,6 +269,8 @@ def _root_cut_loop(
     each round and again between separation and certification; a stop
     keeps whatever rounds already paid off.
     """
+    from scipy.sparse import vstack
+
     from repro.ilp.cuts import generate_cuts
 
     if certify != "off":
@@ -306,7 +309,10 @@ def _root_cut_loop(
             kept.append(cut)
         if not kept:
             break
-        cand_a_ub = np.vstack([a_ub] + [cut.row for cut in kept])
+        cand_a_ub = vstack(
+            [a_ub, as_csr(np.array([cut.row for cut in kept]), len(c))],
+            format="csr",
+        )
         cand_b_ub = np.append(b_ub, [cut.rhs for cut in kept])
         cand_compiled = CompiledModel(c, cand_a_ub, cand_b_ub, a_eq, b_eq)
         cand_relax = cand_compiled.solve(
@@ -353,7 +359,7 @@ def solve_branch_bound(
     pruning its node.
 
     ``presolve`` runs the exact-arithmetic reductions of
-    :mod:`repro.ilp.presolve` on the ``to_arrays`` output; branching and
+    :mod:`repro.ilp.presolve` on the ``to_arrays`` CSR rows; branching and
     every LP certificate then operate on the reduced arrays (variables
     are never renumbered, so solutions need no postsolve).  ``cuts``
     adds up to ``_CUT_ROUNDS`` rounds of root cutting planes
@@ -536,11 +542,11 @@ def solve_branch_bound(
         for j in int_indices:
             if abs(x[j] - round(x[j])) > _INT_TOL:
                 return False
-        if a_ub.size and np.any(
+        if a_ub.shape[0] and np.any(
             a_ub @ x > b_ub + _EXTERNAL_FEAS_TOL * (1.0 + np.abs(b_ub))
         ):
             return False
-        if a_eq.size and np.any(
+        if a_eq.shape[0] and np.any(
             np.abs(a_eq @ x - b_eq)
             > _EXTERNAL_FEAS_TOL * (1.0 + np.abs(b_eq))
         ):

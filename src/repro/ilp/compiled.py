@@ -47,6 +47,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ilp.solution import SolveStatus
+from repro.ilp.sparse import as_csr
 from repro.ilp.tolerances import (
     DUAL_FLIP_EPS,
     FEASIBILITY_EPS,
@@ -57,11 +58,6 @@ from repro.ilp.tolerances import (
 )
 from repro.obs import TELEMETRY
 
-#: Aliases kept for existing importers; the documented constants live in
-#: :mod:`repro.ilp.tolerances`.
-_EPS = OPTIMALITY_EPS
-_FEAS_EPS = FEASIBILITY_EPS
-_PIVOT_EPS = PIVOT_EPS
 #: Refactorize the basis (drop the eta file and re-run the LU) every
 #: this many pivots.  Applying the eta file costs one dense saxpy per
 #: recorded pivot per solve, so the cycle length trades a cheap
@@ -246,27 +242,27 @@ class CompiledModel:
         from scipy.sparse import csc_matrix
 
         n = len(c)
-        a_ub = (
-            np.asarray(a_ub, dtype=float).reshape(-1, n)
-            if np.size(a_ub)
-            else np.zeros((0, n))
-        )
-        a_eq = (
-            np.asarray(a_eq, dtype=float).reshape(-1, n)
-            if np.size(a_eq)
-            else np.zeros((0, n))
-        )
+        a_ub = as_csr(a_ub, n).tocoo()
+        a_eq = as_csr(a_eq, n).tocoo()
         m_ub = a_ub.shape[0]
         m = m_ub + a_eq.shape[0]
         total = n + m_ub  # structural + slack columns
         total_ext = total + m  # + one artificial per row
 
-        a = np.zeros((m, total_ext))
-        a[:m_ub, :n] = a_ub
-        a[m_ub:, :n] = a_eq
-        a[:m_ub, n : n + m_ub] = np.eye(m_ub)
-        a[:, total:] = np.eye(m)
-
+        # [A_ub I; A_eq 0] plus one artificial identity column per row,
+        # assembled from triplets (canonical CSC: sorted, no zeros).
+        slack = np.arange(m_ub)
+        art = np.arange(m)
+        self.asp = csc_matrix(
+            (
+                np.concatenate([a_ub.data, a_eq.data, np.ones(m_ub + m)]),
+                (
+                    np.concatenate([a_ub.row, a_eq.row + m_ub, slack, art]),
+                    np.concatenate([a_ub.col, a_eq.col, n + slack, total + art]),
+                ),
+            ),
+            shape=(m, total_ext),
+        )
         self.n = n
         self.m = m
         self.m_ub = m_ub
@@ -277,7 +273,6 @@ class CompiledModel:
         )
         self.cost = np.zeros(total_ext)
         self.cost[:n] = np.asarray(c, dtype=float)
-        self.asp = csc_matrix(a)
         # Materialized transpose: `asp.T` builds a fresh matrix on
         # every call, and pricing does two transpose products per
         # pivot — caching it takes that off the hot path.
@@ -729,8 +724,8 @@ class CompiledModel:
                 # to the smallest index via argmax's first-hit rule).
                 q = int(np.argmax(score))
             else:
-                q = int(np.argmax(score > _EPS))  # Bland: smallest index
-            if not score[q] > _EPS:
+                q = int(np.argmax(score > OPTIMALITY_EPS))  # Bland: smallest index
+            if not score[q] > OPTIMALITY_EPS:
                 # Recompute x once at the exit so the reported objective
                 # (phase 1 compares it against PHASE1_EPS) is free of
                 # the incremental accumulation.
@@ -744,7 +739,11 @@ class CompiledModel:
             if self.m:
                 room = np.where(dx < 0.0, x_b - lb_b, ub_b - x_b)
                 den = np.abs(dx)
-                ratios = np.where(den > _EPS, room / np.maximum(den, _EPS), math.inf)
+                ratios = np.where(
+                    den > OPTIMALITY_EPS,
+                    room / np.maximum(den, OPTIMALITY_EPS),
+                    math.inf,
+                )
                 np.maximum(ratios, 0.0, out=ratios)  # infeasibility noise
                 t_rows = float(ratios.min())
             else:
@@ -765,7 +764,7 @@ class CompiledModel:
                 continue
             # Exact minimum ratio; Bland tie-break (smallest basis
             # index) only inside the numerical band around it.
-            band = np.flatnonzero(ratios <= t_rows + _EPS)
+            band = np.flatnonzero(ratios <= t_rows + OPTIMALITY_EPS)
             r = int(band[np.argmin(basic[band])])
             leaving = int(basic[r])
             x_b += t_rows * dx
@@ -786,7 +785,7 @@ class CompiledModel:
             status[q] = BASIC
             iterations += 1
             since_refactor += 1
-            if t_rows > _EPS:
+            if t_rows > OPTIMALITY_EPS:
                 degenerate_run = 0
             else:
                 degenerate_run += 1
@@ -829,8 +828,8 @@ class CompiledModel:
                 d = cost - self._aty(fac.btran(cost[basic]))
             x = self._full_solution(basic, status, fac, lb, ub)
             x_b = x[basic]
-            below = x_b < lb[basic] - _FEAS_EPS
-            above = x_b > ub[basic] + _FEAS_EPS
+            below = x_b < lb[basic] - FEASIBILITY_EPS
+            above = x_b > ub[basic] + FEASIBILITY_EPS
             violated = np.flatnonzero(below | above)
             if violated.size == 0:
                 return pivots
@@ -842,21 +841,21 @@ class CompiledModel:
             # cycling case.
             violation = np.maximum(lb[basic] - x_b, x_b - ub[basic])
             worst = float(violation[violated].max())
-            band = violated[violation[violated] >= worst - _FEAS_EPS]
+            band = violated[violation[violated] >= worst - FEASIBILITY_EPS]
             r = int(min(band, key=lambda i: basic[i]))
             rho = self._aty(fac.row(r))
             movable = (ub > lb) & (status != BASIC)
             if below[r]:
                 eligible = movable & (
-                    ((status == AT_LOWER) & (rho < -_EPS))
-                    | ((status == AT_UPPER) & (rho > _EPS))
-                    | ((status == FREE) & (np.abs(rho) > _EPS))
+                    ((status == AT_LOWER) & (rho < -OPTIMALITY_EPS))
+                    | ((status == AT_UPPER) & (rho > OPTIMALITY_EPS))
+                    | ((status == FREE) & (np.abs(rho) > OPTIMALITY_EPS))
                 )
             else:
                 eligible = movable & (
-                    ((status == AT_LOWER) & (rho > _EPS))
-                    | ((status == AT_UPPER) & (rho < -_EPS))
-                    | ((status == FREE) & (np.abs(rho) > _EPS))
+                    ((status == AT_LOWER) & (rho > OPTIMALITY_EPS))
+                    | ((status == AT_UPPER) & (rho < -OPTIMALITY_EPS))
+                    | ((status == FREE) & (np.abs(rho) > OPTIMALITY_EPS))
                 )
             idx = np.flatnonzero(eligible)
             if idx.size == 0:
@@ -897,7 +896,7 @@ class CompiledModel:
                     break
                 flips.append(int(j))
                 remaining -= gain
-            if abs(rho[q]) < _PIVOT_EPS:
+            if abs(rho[q]) < PIVOT_EPS:
                 raise _SingularBasis()  # vanishing pivot: go cold
             for j in flips:
                 status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
@@ -930,7 +929,7 @@ class CompiledModel:
                 continue
             row = self._aty(fac.row(r))[:total]
             nonbasic = status[:total] != BASIC
-            candidates = np.flatnonzero(nonbasic & (np.abs(row) > _PIVOT_EPS))
+            candidates = np.flatnonzero(nonbasic & (np.abs(row) > PIVOT_EPS))
             if candidates.size == 0:
                 continue
             q = int(candidates[0])

@@ -45,11 +45,6 @@ class Constraint:
         normalized = LinExpr(diff.terms, 0.0)
         return cls(normalized, sense, -constant)
 
-    def named(self, name: str) -> "Constraint":
-        """Return the same constraint carrying a diagnostic name."""
-        self.name = name
-        return self
-
     # A Constraint must never be used where a bool is expected — that is
     # almost always a forgotten ``model.add_constr(...)`` or an accidental
     # ``==`` between expressions in ordinary code.

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ilp.compiled import AT_UPPER, CompiledModel
+from repro.ilp.sparse import as_csr, row_items
 from repro.ilp.tolerances import CUT_VIOLATION_EPS, INTEGRALITY_EPS
 
 _ZERO = Fraction(0)
@@ -138,9 +139,9 @@ def _round_row(
 
 def _gomory_from_multipliers(
     lam: np.ndarray,
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     integrality: np.ndarray,
@@ -172,14 +173,15 @@ def _gomory_from_multipliers(
     # Exact integrality flag per <= row: its slack is integer-valued on
     # integer points only when every datum in the row is integral.
     row_integral = np.zeros(m_ub, dtype=bool)
+    ub_rows: Dict[int, Dict[int, float]] = {}
     for i in range(m_ub):
         if lam_f[i] == _ZERO:
             continue
-        cols = np.flatnonzero(a_ub[i])
+        row = ub_rows[i] = row_items(a_ub, i)
         row_integral[i] = (
             _is_int(b_ub[i])
-            and all(_is_int(a_ub[i, j]) for j in cols)
-            and all(integrality[j] for j in cols)
+            and all(_is_int(a) for a in row.values())
+            and all(integrality[j] for j in row)
         )
         # A continuous slack can only be dropped from the floored sum
         # when its coefficient is nonnegative.
@@ -194,15 +196,15 @@ def _gomory_from_multipliers(
         if li == _ZERO:
             continue
         r0 += li * Fraction(float(b_ub[i]))
-        for j in np.flatnonzero(a_ub[i]):
-            r[int(j)] = r.get(int(j), _ZERO) + li * Fraction(float(a_ub[i, j]))
+        for j, a in ub_rows[i].items():
+            r[j] = r.get(j, _ZERO) + li * Fraction(a)
     for k in range(a_eq.shape[0]):
         li = lam_f[m_ub + k]
         if li == _ZERO:
             continue
         r0 += li * Fraction(float(b_eq[k]))
-        for j in np.flatnonzero(a_eq[k]):
-            r[int(j)] = r.get(int(j), _ZERO) + li * Fraction(float(a_eq[k, j]))
+        for j, a in row_items(a_eq, k).items():
+            r[j] = r.get(j, _ZERO) + li * Fraction(a)
 
     # Shift every aggregated variable to rest at zero: complement the
     # at-upper nonbasics, shift everything else by its lower bound.
@@ -262,8 +264,8 @@ def _gomory_from_multipliers(
             continue
         # fi * s_i with s_i = b_i - A_i x
         g0 -= fi * Fraction(float(b_ub[i]))
-        for j in np.flatnonzero(a_ub[i]):
-            g[int(j)] = g.get(int(j), _ZERO) - fi * Fraction(float(a_ub[i, j]))
+        for j, a in ub_rows[i].items():
+            g[j] = g.get(j, _ZERO) - fi * Fraction(a)
 
     # Violation at the fractional optimum, measured exactly.
     lhs = _ZERO
@@ -286,9 +288,9 @@ def _floor_frac(v: Fraction) -> Fraction:
 
 
 def gomory_cuts(
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     integrality: np.ndarray,
@@ -307,6 +309,7 @@ def gomory_cuts(
     if basis is None or x is None:
         return []
     n = len(bounds)
+    a_ub, a_eq = as_csr(a_ub, n), as_csr(a_eq, n)
     m = a_ub.shape[0] + a_eq.shape[0]
 
     candidates: List[Tuple[float, int]] = []
@@ -337,7 +340,7 @@ def gomory_cuts(
 
 
 def cover_cuts(
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     integrality: np.ndarray,
@@ -346,11 +349,13 @@ def cover_cuts(
 ) -> List[Cut]:
     """Greedy knapsack cover cuts from all-binary ``<=`` rows."""
     cuts: List[Cut] = []
+    a_ub = as_csr(a_ub, len(bounds))
     for i in range(a_ub.shape[0]):
         if len(cuts) >= max_cuts:
             break
-        support = np.flatnonzero(a_ub[i])
-        if support.size < 2:
+        row = row_items(a_ub, i)
+        support = list(row)
+        if len(support) < 2:
             continue
         if not all(
             integrality[j] and bounds[j][0] >= 0.0 and bounds[j][1] <= 1.0
@@ -364,14 +369,14 @@ def cover_cuts(
         z_star: Dict[int, float] = {}
         complemented: List[int] = []
         for j in support:
-            aij = Fraction(float(a_ub[i, j]))
+            aij = Fraction(row[j])
             if aij > _ZERO:
-                a_p[int(j)] = aij
-                z_star[int(j)] = min(1.0, max(0.0, float(x_star[j])))
+                a_p[j] = aij
+                z_star[j] = min(1.0, max(0.0, float(x_star[j])))
             else:
-                a_p[int(j)] = -aij
-                z_star[int(j)] = min(1.0, max(0.0, 1.0 - float(x_star[j])))
-                complemented.append(int(j))
+                a_p[j] = -aij
+                z_star[j] = min(1.0, max(0.0, 1.0 - float(x_star[j])))
+                complemented.append(j)
                 b_p -= aij
         if b_p < _ZERO or sum(a_p.values()) <= b_p:
             continue  # no binary point violates / no cover exists
@@ -409,9 +414,9 @@ def cover_cuts(
 
 
 def generate_cuts(
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     integrality: np.ndarray,

@@ -42,9 +42,6 @@ class LinExpr:
             return LinExpr({}, float(value))
         raise ModelError(f"cannot use {value!r} in a linear expression")
 
-    def copy(self) -> "LinExpr":
-        return LinExpr(self.terms, self.constant)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: Operand) -> "LinExpr":

@@ -5,13 +5,19 @@ formulation (Section 3.2): binary selection variables, integer load
 variables, linear constraints, a big-M disjunction helper implementing
 eqs. (4)–(8), and the relaxable variant with the auxiliary binary ``c5``
 of eq. (12).
+
+A :class:`Model` stores its rows once, as CSR (:class:`Rows`) that
+every solver and checker reads: :meth:`Model.add_rows` appends a whole
+block, :meth:`Model.add_constr` one hand-built
+:class:`~repro.ilp.constraint.Constraint`.  Variables stay
+:class:`~repro.ilp.variable.Var` column handles.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +26,11 @@ from repro.ilp.constraint import Constraint, Sense
 from repro.ilp.expr import LinExpr
 from repro.ilp.tolerances import CHECK_EPS
 from repro.ilp.variable import Var, VarType
+
+#: Row sense codes of the CSR store (:attr:`Rows.sense`).
+LE, GE, EQ = 1, -1, 0
+_CODE = {Sense.LE: LE, Sense.GE: GE, Sense.EQ: EQ}
+_SENSE = {code: sense for sense, code in _CODE.items()}
 
 
 def quicksum(items: Iterable) -> LinExpr:
@@ -43,6 +54,26 @@ class ObjectiveSense(enum.Enum):
     MAXIMIZE = "maximize"
 
 
+class Rows(NamedTuple):
+    """Constraint rows as canonical CSR: row ``i`` is
+    ``sum(data[k] * x[indices[k]] for k in range(indptr[i], indptr[i+1]))
+    sense[i] rhs[i]``, with sorted column indices and no stored zero."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    sense: np.ndarray  # LE / GE / EQ codes
+    rhs: np.ndarray
+    names: List[str]
+
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """Every row's left-hand side at the point ``x``."""
+        row_of = np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
+        return np.bincount(
+            row_of, weights=self.data * x[self.indices], minlength=len(self.rhs)
+        )
+
+
 class Model:
     """A mixed-integer linear program.
 
@@ -54,9 +85,12 @@ class Model:
     def __init__(self, name: str = "model") -> None:
         self.name = name
         self.variables: List[Var] = []
-        self.constraints: List[Constraint] = []
-        self.objective: LinExpr = LinExpr()
-        self.objective_sense: ObjectiveSense = ObjectiveSense.MINIMIZE
+        self._blocks = [Rows(
+            np.zeros(1, np.int64),
+            *(np.zeros(0, t) for t in (np.int64, float, np.int8, float)),
+            [],
+        )]
+        self.set_cost([], [])
 
     # -- variables -----------------------------------------------------------
 
@@ -88,6 +122,42 @@ class Model:
 
     # -- constraints -----------------------------------------------------------
 
+    def add_rows(
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        coefs: np.ndarray,
+        sense,
+        rhs: Sequence[float],
+        names: Sequence[str],
+    ) -> None:
+        """Append a block of rows given as triplets: ``coefs[k]`` sits in
+        the block's row ``rows[k]`` at column ``cols[k]``.
+
+        ``sense`` is one code or one per row.  Zero coefficients are
+        dropped and each row's columns sorted, so the store stays
+        canonical CSR; a row left without a variable is an error, as in
+        :class:`~repro.ilp.constraint.Constraint`.
+        """
+        m = len(names)
+        rows, cols, coefs = (np.asarray(a) for a in (rows, cols, coefs))
+        keep = coefs != 0.0
+        rows, cols = rows[keep].astype(np.int64), cols[keep].astype(np.int64)
+        if cols.size and (cols.min() < 0 or cols.max() >= len(self.variables)):
+            raise ModelError("constraint uses a variable from another model")
+        order = np.argsort(rows * len(self.variables) + cols, kind="stable")
+        lengths = np.bincount(rows, minlength=m)
+        if m and not lengths.all():
+            raise ModelError("constraint has no variables")
+        self._blocks.append(Rows(
+            np.concatenate(([0], np.cumsum(lengths))),
+            cols[order],
+            np.asarray(coefs[keep], dtype=float)[order],
+            np.broadcast_to(np.asarray(sense, dtype=np.int8), (m,)).copy(),
+            np.asarray(rhs, dtype=float).reshape(m),
+            list(names),
+        ))
+
     def add_constr(self, constraint: Constraint, name: str = "") -> Constraint:
         """Register a constraint built from expression comparisons."""
         if not isinstance(constraint, Constraint):
@@ -105,12 +175,16 @@ class Model:
                 )
         if name:
             constraint.name = name
-        self.constraints.append(constraint)
+        terms = constraint.expr.terms
+        self.add_rows(
+            np.zeros(len(terms), dtype=np.int64),
+            [var.index for var in terms],
+            list(terms.values()),
+            _CODE[constraint.sense],
+            [constraint.rhs],
+            [constraint.name],
+        )
         return constraint
-
-    def add_constrs(self, constraints: Iterable[Constraint], name: str = "") -> None:
-        for i, con in enumerate(constraints):
-            self.add_constr(con, f"{name}[{i}]" if name else "")
 
     def add_big_m_disjunction(
         self,
@@ -157,7 +231,23 @@ class Model:
     def set_objective(
         self, expr, sense: ObjectiveSense = ObjectiveSense.MINIMIZE
     ) -> None:
-        self.objective = LinExpr.coerce(expr)
+        expr = LinExpr.coerce(expr)
+        self.set_cost(
+            [var.index for var in expr.terms], list(expr.terms.values()),
+            expr.constant, sense,
+        )
+
+    def set_cost(
+        self,
+        cols: Sequence[int],
+        coefs: Sequence[float],
+        constant: float = 0.0,
+        sense: ObjectiveSense = ObjectiveSense.MINIMIZE,
+    ) -> None:
+        """The objective ``constant + sum(coefs[k] * x[cols[k]])``."""
+        self._obj_cols = np.asarray(cols, dtype=np.int64)
+        self._obj_coefs = np.asarray(coefs, dtype=float)
+        self._obj_constant = float(constant)
         self.objective_sense = sense
 
     def minimize(self, expr) -> None:
@@ -165,6 +255,15 @@ class Model:
 
     def maximize(self, expr) -> None:
         self.set_objective(expr, ObjectiveSense.MAXIMIZE)
+
+    @property
+    def objective(self) -> LinExpr:
+        """The objective as a (derived, read-only) expression."""
+        terms = zip(
+            map(self.variables.__getitem__, self._obj_cols.tolist()),
+            self._obj_coefs.tolist(),
+        )
+        return LinExpr(dict(terms), self._obj_constant)
 
     # -- inspection -------------------------------------------------------------
 
@@ -178,92 +277,116 @@ class Model:
 
     @property
     def num_constrs(self) -> int:
-        return len(self.constraints)
+        return sum(len(block.rhs) for block in self._blocks)
+
+    def rows(self) -> Rows:
+        """The constraint store (appended blocks are merged on demand).
+
+        Merging is idempotent: two threads reading a finished model (the
+        anytime race's lanes) may both merge and get equal stores."""
+        blocks = self._blocks
+        if len(blocks) == 1:
+            return blocks[0]
+        offsets = np.cumsum([0] + [len(b.indices) for b in blocks])
+        merged = Rows(
+            np.concatenate(
+                [[0]] + [b.indptr[1:] + o for b, o in zip(blocks, offsets)]
+            ),
+            *(np.concatenate([b[f] for b in blocks]) for f in range(1, 5)),
+            [name for b in blocks for name in b.names],
+        )
+        self._blocks = [merged]
+        return merged
+
+    def constraint(self, i: int) -> Constraint:
+        """Row ``i`` of the store as a :class:`Constraint`."""
+        rows = self.rows()
+        lo, hi = rows.indptr[i], rows.indptr[i + 1]
+        terms = dict(zip(
+            map(self.variables.__getitem__, rows.indices[lo:hi].tolist()),
+            rows.data[lo:hi].tolist(),
+        ))
+        return Constraint(
+            LinExpr(terms), _SENSE[int(rows.sense[i])], float(rows.rhs[i]),
+            rows.names[i],
+        )
+
+    @property
+    def constraints(self) -> Tuple[Constraint, ...]:
+        """Every row as a :class:`Constraint` — a view derived from the
+        store; editing it does not change the model."""
+        return tuple(self.constraint(i) for i in range(self.num_constrs))
 
     def check_solution(
         self, values: Dict[Var, float], tol: float = CHECK_EPS
     ) -> List[str]:
         """Names/reprs of constraints and bounds violated by ``values``."""
+        variables = self.variables
+        x = np.array([values.get(v, 0.0) for v in variables], dtype=float)
+        lb = np.array([v.lb for v in variables], dtype=float)
+        ub = np.array([v.ub for v in variables], dtype=float)
+        integral = np.array([v.vtype.is_integral for v in variables], dtype=bool)
+        bad_bound = (x < lb - tol) | (x > ub + tol)
+        bad_int = integral & (np.abs(x - np.round(x)) > tol)
         problems: List[str] = []
-        for var in self.variables:
+        for j in np.flatnonzero(bad_bound | bad_int).tolist():
+            var = variables[j]
             val = values.get(var, 0.0)
-            if val < var.lb - tol or val > var.ub + tol:
+            if bad_bound[j]:
                 problems.append(f"bound violated: {var.name}={val}")
-            if var.vtype.is_integral and abs(val - round(val)) > tol:
+            if bad_int[j]:
                 problems.append(f"integrality violated: {var.name}={val}")
-        for con in self.constraints:
-            if not con.satisfied_by(values, tol):
-                problems.append(f"constraint violated: {con!r}")
+        rows = self.rows()
+        lhs = rows.activity(x)
+        ok = np.where(
+            rows.sense == LE,
+            lhs <= rows.rhs + tol,
+            np.where(
+                rows.sense == GE,
+                lhs >= rows.rhs - tol,
+                np.abs(lhs - rows.rhs) <= tol,
+            ),
+        )
+        for i in np.flatnonzero(~ok).tolist():
+            problems.append(f"constraint violated: {self.constraint(i)!r}")
         return problems
 
     # -- matrix form --------------------------------------------------------------
 
-    def to_arrays(
-        self,
-    ) -> Tuple[
-        np.ndarray,  # c
-        np.ndarray,  # A_ub
-        np.ndarray,  # b_ub
-        np.ndarray,  # A_eq
-        np.ndarray,  # b_eq
-        List[Tuple[float, float]],  # bounds
-        np.ndarray,  # integrality flags (1 integral / 0 continuous)
-    ]:
-        """Export minimize-form dense arrays for the LP/MILP backends.
+    def to_arrays(self):
+        """Minimize-form ``(c, A_ub, b_ub, A_eq, b_eq, bounds,
+        integrality)`` for the LP/MILP backends, with ``A_ub`` and
+        ``A_eq`` as canonical CSR (``scipy.sparse.csr_matrix``).
 
-        Maximization is converted by negating the objective; callers that
-        need the true objective value must negate back (both backends in
-        this package do).
+        ``>=`` rows are negated into ``A_ub``; maximization negates the
+        objective, and callers that need the true objective value negate
+        back (both backends in this package do).  ``integrality`` flags
+        integral columns 1, continuous 0.
         """
+        from scipy.sparse import csr_matrix
+
         n = self.num_vars
         c = np.zeros(n)
-        for var, coef in self.objective.terms.items():
-            c[var.index] = coef
+        c[self._obj_cols] = self._obj_coefs
         if self.objective_sense is ObjectiveSense.MAXIMIZE:
             c = -c
-
-        # Row assembly via COO triplets: constraints are sparse (a few
-        # terms against thousands of columns), so gathering
-        # (row, col, value) triplets and scattering them in one numpy
-        # assignment beats materializing a dense row per constraint.
-        ub_r: List[int] = []
-        ub_c: List[int] = []
-        ub_v: List[float] = []
-        ub_rhs: List[float] = []
-        eq_r: List[int] = []
-        eq_c: List[int] = []
-        eq_v: List[float] = []
-        eq_rhs: List[float] = []
-        for con in self.constraints:
-            if con.sense is Sense.EQ:
-                r = len(eq_rhs)
-                eq_rhs.append(con.rhs)
-                for var, coef in con.expr.terms.items():
-                    eq_r.append(r)
-                    eq_c.append(var.index)
-                    eq_v.append(coef)
-            else:
-                sign = 1.0 if con.sense is Sense.LE else -1.0
-                r = len(ub_rhs)
-                ub_rhs.append(sign * con.rhs)
-                for var, coef in con.expr.terms.items():
-                    ub_r.append(r)
-                    ub_c.append(var.index)
-                    ub_v.append(sign * coef)
-
-        a_ub = np.zeros((len(ub_rhs), n))
-        if ub_r:
-            a_ub[np.asarray(ub_r), np.asarray(ub_c)] = np.asarray(ub_v)
-        b_ub = np.asarray(ub_rhs, dtype=float)
-        a_eq = np.zeros((len(eq_rhs), n))
-        if eq_r:
-            a_eq[np.asarray(eq_r), np.asarray(eq_c)] = np.asarray(eq_v)
-        b_eq = np.asarray(eq_rhs, dtype=float)
+        rows = self.rows()
+        sign = np.where(rows.sense == GE, -1.0, 1.0)
+        signed = csr_matrix(
+            (rows.data * np.repeat(sign, np.diff(rows.indptr)), rows.indices,
+             rows.indptr),
+            shape=(len(rows.rhs), n),
+        )
+        ub = np.flatnonzero(rows.sense != EQ)
+        eq = np.flatnonzero(rows.sense == EQ)
         bounds = [(v.lb, v.ub) for v in self.variables]
         integrality = np.array(
             [1 if v.vtype.is_integral else 0 for v in self.variables]
         )
-        return c, a_ub, b_ub, a_eq, b_eq, bounds, integrality
+        return (
+            c, signed[ub], sign[ub] * rows.rhs[ub], signed[eq], rows.rhs[eq],
+            bounds, integrality,
+        )
 
     # -- solving ------------------------------------------------------------------
 

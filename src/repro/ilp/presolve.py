@@ -1,8 +1,8 @@
 """Exact-arithmetic MILP presolve over the ``to_arrays`` form.
 
-Runs between :meth:`repro.ilp.model.Model.to_arrays` and the compiled
-simplex (see :func:`repro.ilp.branch_bound.solve_branch_bound`).  Three
-reductions, iterated to a fixed point:
+Runs on the CSR rows of :meth:`repro.ilp.model.Model.to_arrays`, before
+the compiled simplex (see :func:`repro.ilp.branch_bound.solve_branch_bound`).
+Three reductions, iterated to a fixed point:
 
 * **row removal** — singleton ``<=`` rows fold into a variable bound;
   rows whose maximum activity over the bound box already satisfies the
@@ -54,6 +54,7 @@ trivial-bounds check — no special casing anywhere downstream.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -63,6 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ilp.exact import scale_row
+from repro.ilp.sparse import as_csr
 
 #: Reduction passes stop after this many sweeps even off fixed point.
 _MAX_PASSES = 4
@@ -144,25 +146,31 @@ class PresolveInfo:
 
 
 def presolve_arrays(
-    a_ub: np.ndarray,
+    a_ub,
     b_ub: np.ndarray,
-    a_eq: np.ndarray,
+    a_eq,
     b_eq: np.ndarray,
     bounds: Sequence[Tuple[float, float]],
     integrality: np.ndarray,
     stop: Optional[Callable[[], bool]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[Tuple[float, float]], PresolveInfo]:
+) -> Tuple[object, np.ndarray, object, np.ndarray, List[Tuple[float, float]], PresolveInfo]:
     """Reduce the arrays; returns new arrays + bounds + :class:`PresolveInfo`.
 
-    ``stop()`` turning true ends the reductions before the next row
-    (``stats["stopped"]``); the arrays reached so far are returned.
+    ``a_ub`` / ``a_eq`` may be dense or sparse; the reduced ones come
+    back as CSR.  ``stop()`` turning true ends the reductions before the
+    next row (``stats["stopped"]``); the arrays reached so far are
+    returned.
     """
+    from scipy.sparse import csr_matrix
+
     n = len(bounds)
-    a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n) if np.size(a_ub) else np.zeros((0, n))
-    a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n) if np.size(a_eq) else np.zeros((0, n))
+    a_ub = as_csr(a_ub, n)
+    a_eq = as_csr(a_eq, n)
     b_ub = np.asarray(b_ub, dtype=float).ravel().copy()
     b_eq = np.asarray(b_eq, dtype=float).ravel().copy()
-    a_ub = a_ub.copy()
+    ub_ptr = a_ub.indptr.tolist()
+    ub_cols = a_ub.indices.tolist()
+    ub_data = a_ub.data.copy()  # big-M strengthening writes here
 
     info = PresolveInfo(m_ub_orig=a_ub.shape[0], m_eq_orig=a_eq.shape[0])
     stats = {
@@ -194,12 +202,13 @@ def presolve_arrays(
         lb.append(lo_v)
         ub.append(hi_v)
 
-    def scaled_rows(mat: np.ndarray, rhs: np.ndarray):
+    def scaled_rows(mat, rhs: np.ndarray):
         rows, rhs_out, dens = [], [], []
+        ptr, cols, vals = mat.indptr.tolist(), mat.indices.tolist(), mat.data.tolist()
         for i in range(mat.shape[0]):
-            cols = np.flatnonzero(mat[i]).tolist()
-            ints, den = scale_row(mat[i, cols].tolist() + [float(rhs[i])])
-            rows.append(dict(zip(cols, ints)))
+            lo, hi = ptr[i], ptr[i + 1]
+            ints, den = scale_row(vals[lo:hi] + [float(rhs[i])])
+            rows.append(dict(zip(cols[lo:hi], ints)))
             rhs_out.append(ints[-1])
             dens.append(den)
         return rows, rhs_out, dens
@@ -352,7 +361,8 @@ def presolve_arrays(
                         # only weakens the row, so the stored float is
                         # never tighter than the proven value.
                         coef = _outward(-excess, up=False, den=ub_den[i])
-                        a_ub[i, j] = coef
+                        k = bisect.bisect_left(ub_cols, j, ub_ptr[i], ub_ptr[i + 1])
+                        ub_data[k] = coef
                         fn, fd = coef.as_integer_ratio()
                         row[j] = _exact(fn * ub_den[i], fd)
                         max_act = max_act - hi_t + term_range(j, row[j])[1]
@@ -362,10 +372,11 @@ def presolve_arrays(
     # Materialize the reduced arrays.
     info.kept_ub = [int(i) for i in np.flatnonzero(alive_ub)]
     info.kept_eq = [int(i) for i in np.flatnonzero(alive_eq)]
-    new_a_ub = a_ub[alive_ub]
+    a_ub = csr_matrix((ub_data, a_ub.indices, a_ub.indptr), shape=a_ub.shape)
+    new_a_ub = a_ub[info.kept_ub]
     new_b_ub = b_ub[alive_ub]
-    new_a_eq = a_eq[alive_eq].copy() if a_eq.shape[0] else a_eq
-    new_b_eq = b_eq[alive_eq].copy() if a_eq.shape[0] else b_eq
+    new_a_eq = a_eq[info.kept_eq]
+    new_b_eq = b_eq[alive_eq]
 
     new_bounds: List[Tuple[float, float]] = []
     for j in range(n):

@@ -39,7 +39,6 @@ def solve_scipy(
     mode raises :class:`~repro.errors.CertificationError` on failure.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import csr_matrix
 
     if certify not in ("off", "audit", "strict"):
         raise SolverError(
@@ -52,12 +51,10 @@ def solve_scipy(
     c, a_ub, b_ub, a_eq, b_eq, bounds, integrality = model.to_arrays()
 
     constraints = []
-    if a_ub.size:
-        constraints.append(
-            LinearConstraint(csr_matrix(a_ub), -np.inf, b_ub)
-        )
-    if a_eq.size:
-        constraints.append(LinearConstraint(csr_matrix(a_eq), b_eq, b_eq))
+    if a_ub.shape[0]:
+        constraints.append(LinearConstraint(a_ub, -np.inf, b_ub))
+    if a_eq.shape[0]:
+        constraints.append(LinearConstraint(a_eq, b_eq, b_eq))
 
     lower = np.array([lb for lb, _ in bounds])
     upper = np.array([ub for _, ub in bounds])

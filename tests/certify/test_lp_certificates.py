@@ -270,3 +270,76 @@ def test_non_finite_milp_coefficient_fails_not_raises() -> None:
     assert [(v.kind, v.subject) for v in cert.violations] == [
         ("milp-non-finite", "nan-row")
     ]
+
+
+def _dense_column_products(a_ub, a_eq, y):
+    """Reference for the certificate's ``y A``: every entry of every
+    column of the dense ``[a_ub; a_eq]``, as the dual and Farkas parts
+    once walked it."""
+    from fractions import Fraction
+
+    a = np.vstack([a_ub.toarray(), a_eq.toarray()])
+    out = []
+    for j in range(a.shape[1]):
+        acc = Fraction(0)
+        for i in range(a.shape[0]):
+            if a[i, j] != 0.0:
+                acc += y[i] * Fraction(float(a[i, j]))
+        out.append(acc)
+    return out
+
+
+def _window_lps():
+    """``(label, arrays, result)``: the root LP of every solver
+    differential window with duals, the same duals perturbed, and an
+    infeasible child (one task's selections fixed to 0) with its
+    Farkas ray, perturbed too."""
+    from tests.ilp.test_solver_differential import _committed_windows, _windows
+
+    for seed in (1, 2):
+        for label, model in list(_windows(seed)) + list(_committed_windows(seed)):
+            c, a_ub, b_ub, a_eq, b_eq, bounds, _ = model.to_arrays()
+            compiled = CompiledModel(c, a_ub, b_ub, a_eq, b_eq)
+            arrays = (c, a_ub, b_ub, a_eq, b_eq)
+            root = compiled.solve(bounds, want_duals=True)
+            assert root.status is SolveStatus.OPTIMAL, label
+            yield label, arrays, bounds, root
+            for scale in (1.5, -1.0):
+                yield label, arrays, bounds, LpResult(
+                    SolveStatus.OPTIMAL, x=root.x, objective=root.objective,
+                    duals=root.duals * scale,
+                )
+            row = a_eq.getrow(0)  # one task's one-hot row
+            child = list(bounds)
+            for j in row.indices:
+                child[j] = (0.0, 0.0)
+            dead = compiled.solve(child, want_duals=True)
+            assert dead.status is SolveStatus.INFEASIBLE, label
+            assert dead.farkas is not None, label
+            yield label, arrays, child, dead
+            yield label, arrays, child, LpResult(
+                SolveStatus.INFEASIBLE, farkas=dead.farkas * -0.5
+            )
+
+
+def test_column_walk_matches_the_dense_reference(monkeypatch) -> None:
+    """The dual and Farkas parts walk column nonzeros (CSC); on the
+    mapping windows every verdict, violation and figure equals the
+    dense m x n walk."""
+    import repro.certify.lp as lp
+
+    outcomes = set()
+    for label, arrays, bounds, result in _window_lps():
+        got = certify_lp(result, *arrays, bounds)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_column_products", _dense_column_products)
+            want = certify_lp(result, *arrays, bounds)
+        assert got.status == want.status, label
+        assert [v.as_dict() for v in got.violations] == [
+            v.as_dict() for v in want.violations
+        ], label
+        assert got.details == want.details, label
+        outcomes.add((got.kind, got.status))
+    # Both certificate kinds, each passing and failing, were compared.
+    assert {("lp-optimal", "certified"), ("lp-optimal", "failed"),
+            ("lp-infeasible", "certified"), ("lp-infeasible", "failed")} <= outcomes

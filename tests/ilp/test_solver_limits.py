@@ -9,7 +9,7 @@ Three bugs shared one root cause — treating "the solver gave up" as
 2. an UNBOUNDED relaxation below the root was silently dropped while
    the search still claimed exhaustion;
 3. the simplex ratio test accepted a new minimum only when it was more
-   than ``_EPS`` smaller, so a strictly smaller ratio inside the
+   than ``OPTIMALITY_EPS`` smaller, so a strictly smaller ratio inside the
    epsilon band could be skipped, driving a basic variable negative.
 """
 
@@ -20,7 +20,8 @@ import pytest
 
 from repro.ilp import Model, SolveStatus, quicksum
 from repro.ilp.branch_bound import solve_branch_bound
-from repro.ilp.compiled import _EPS, CompiledModel, LpResult
+from repro.ilp.compiled import CompiledModel, LpResult
+from repro.ilp.tolerances import OPTIMALITY_EPS
 
 
 def knapsack_model():
@@ -101,11 +102,11 @@ class TestUnboundedBelowRoot:
 class TestRatioTestEpsilonBand:
     def test_chained_near_ties_keep_basis_feasible(self):
         # max x over six rows x <= b_i whose right-hand sides descend by
-        # 0.9e-9 — each within _EPS of its neighbour, the first 4.5e-9
+        # 0.9e-9 — each within OPTIMALITY_EPS of its neighbour, the first 4.5e-9
         # above the true minimum — while the slack indices seeding the
         # basis ascend.  A ratio test that *updates* its best ratio on
         # every near-tie walks the whole chain and pivots on the largest
-        # ratio, pushing the last row's slack negative beyond _EPS.  The
+        # ratio, pushing the last row's slack negative beyond OPTIMALITY_EPS.  The
         # primal takes the exact minimum ratio and applies Bland's
         # smallest-basis-index tie-break only inside the band around it.
         m = 6
@@ -117,8 +118,8 @@ class TestRatioTestEpsilonBand:
         assert res.status is SolveStatus.OPTIMAL
         assert res.iterations >= 1
         # The invariant the seed code violated: every row (i.e. every
-        # basic slack) stays within _EPS of feasibility after the pivot.
-        assert np.all(res.x[0] <= b + _EPS), f"row overrun: {res.x[0] - b.min()}"
+        # basic slack) stays within OPTIMALITY_EPS of feasibility after the pivot.
+        assert np.all(res.x[0] <= b + OPTIMALITY_EPS), f"row overrun: {res.x[0] - b.min()}"
 
     def test_strictly_smaller_ratio_always_wins(self):
         # A ratio well below the incumbent (not a near-tie) must be
@@ -134,7 +135,7 @@ class TestRatioTestEpsilonBand:
         res = compiled.solve([(0.0, math.inf)])
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(-1.0)
-        assert res.x[0] <= 1.0 + _EPS
+        assert res.x[0] <= 1.0 + OPTIMALITY_EPS
 
 
 class TestBackendsAgreeOnWindowedMapping:

@@ -28,15 +28,6 @@ def test_cert_eps_is_exact_rational() -> None:
     assert 0 < tolerances.CERT_EPS < 1
 
 
-def test_simplex_aliases_track_the_module() -> None:
-    """The historical underscore names must stay importable and equal."""
-    from repro.ilp import compiled
-
-    assert compiled._EPS == tolerances.OPTIMALITY_EPS
-    assert compiled._FEAS_EPS == tolerances.FEASIBILITY_EPS
-    assert compiled._PIVOT_EPS == tolerances.PIVOT_EPS
-
-
 def test_branch_bound_integrality_alias() -> None:
     from repro.ilp import branch_bound
 
