@@ -3,7 +3,8 @@
 Measures the anytime mapper tier (DESIGN.md §13) on the same solver
 probes ``bench_record.py`` uses, plus the full PCR mapping problem, and
 writes ``BENCH_anytime.json``.  ``--check`` enforces the tier's
-contract with absolute gates (no baseline file needed):
+contract with absolute gates (no baseline file needed) and writes its
+report only to an explicit ``--output`` (:mod:`bench_output`):
 
 * **first feasible** — the heuristic lane produces a feasible full-PCR
   mapping in under :data:`FIRST_FEASIBLE_LIMIT_SECONDS`;
@@ -20,11 +21,12 @@ Run with ``PYTHONPATH=src`` from the repository root.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List
+
+from bench_output import add_output_argument, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = ROOT / "BENCH_anytime.json"
@@ -208,12 +210,7 @@ def check(report: Dict) -> List[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=DEFAULT_OUTPUT,
-        help=f"where to write the JSON report (default {DEFAULT_OUTPUT})",
-    )
+    add_output_argument(parser, DEFAULT_OUTPUT)
     parser.add_argument(
         "--check",
         action="store_true",
@@ -223,8 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = record()
-    args.output.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(f"report written to {args.output}")
+    write_report(report, args.output, args.check, DEFAULT_OUTPUT)
     ff = report["first_feasible"]
     print(
         f"  pcr first feasible {ff['first_feasible_seconds'] * 1000:.1f} ms,"

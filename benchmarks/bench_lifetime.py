@@ -9,8 +9,9 @@ assay repetitions to failure with adaptive remapping divided by the
 static design's repetitions.
 
 ``--check`` compares every scenario against the checked-in baseline
-(``benchmarks/data/lifetime_baseline.json``) and exits non-zero when
-any of these trip:
+(``benchmarks/data/lifetime_baseline.json``), writes its report only
+to an explicit ``--output`` (:mod:`bench_output`), and exits non-zero
+when any of these trip:
 
 * gain below :data:`GAIN_FLOOR` (the ISSUE acceptance bar: adaptive
   remapping must buy >= 1.5x repetitions-to-failure);
@@ -32,6 +33,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Dict, List
+
+from bench_output import add_output_argument, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = (
@@ -153,12 +156,7 @@ def check_against_baseline(report: Dict) -> List[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=DEFAULT_OUTPUT,
-        help=f"where to write the JSON report (default {DEFAULT_OUTPUT})",
-    )
+    add_output_argument(parser, DEFAULT_OUTPUT)
     parser.add_argument(
         "--check",
         action="store_true",
@@ -168,8 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = record()
-    args.output.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(f"report written to {args.output}")
+    write_report(report, args.output, args.check, DEFAULT_OUTPUT)
     for name, entry in report["scenarios"].items():
         print(
             f"  {name}: adaptive {entry['adaptive_runs']} vs static "

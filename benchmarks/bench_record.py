@@ -16,8 +16,9 @@ and was never gated — schema 2 drops it.  End-to-end placements are
 covered by the frozen-fixture benchmarks.)
 
 ``--check`` compares every baseline probe against the checked-in
-baseline (``benchmarks/data/bench_baseline.json``) and exits non-zero
-when any of these trip:
+baseline (``benchmarks/data/bench_baseline.json``), writes its report
+only to an explicit ``--output`` (:mod:`bench_output`), and exits
+non-zero when any of these trip:
 
 * branch & bound node count >20% over baseline — the tripwire for
   search blow-ups that wall-clock noise would hide;
@@ -39,6 +40,8 @@ import sys
 import time
 from pathlib import Path
 from typing import Dict, List
+
+from bench_output import add_output_argument, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = Path(__file__).resolve().parent / "data" / "bench_baseline.json"
@@ -169,12 +172,7 @@ def check_against_baseline(report: Dict) -> List[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=DEFAULT_OUTPUT,
-        help=f"where to write the JSON report (default {DEFAULT_OUTPUT})",
-    )
+    add_output_argument(parser, DEFAULT_OUTPUT)
     parser.add_argument(
         "--check",
         action="store_true",
@@ -184,8 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = record()
-    args.output.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(f"report written to {args.output}")
+    write_report(report, args.output, args.check, DEFAULT_OUTPUT)
     for case_name, entry in report["probes"].items():
         print(
             f"  {case_name}: warm {entry['warm']['simplex_iterations']} vs "

@@ -2,7 +2,9 @@
 
 Exercises the synthesis-as-a-service engine (DESIGN.md §15) on three
 load shapes and writes ``BENCH_serve.json``.  ``--check`` enforces the
-tier's contract with absolute gates (no baseline file needed):
+tier's contract with absolute gates (no baseline file needed) and
+writes its report only to an explicit ``--output``
+(:mod:`bench_output`):
 
 * **cache-hit latency** — resubmitting an already-solved assay is
   answered from the canonical cache with a p50 under
@@ -24,12 +26,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import statistics
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List
+
+from bench_output import add_output_argument, write_report
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = ROOT / "BENCH_serve.json"
@@ -264,12 +267,7 @@ def check(report: Dict) -> List[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=DEFAULT_OUTPUT,
-        help=f"where to write the JSON report (default {DEFAULT_OUTPUT})",
-    )
+    add_output_argument(parser, DEFAULT_OUTPUT)
     parser.add_argument(
         "--check",
         action="store_true",
@@ -279,8 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = record()
-    args.output.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(f"report written to {args.output}")
+    write_report(report, args.output, args.check, DEFAULT_OUTPUT)
     hit = report["cache_hit"]
     print(
         f"  cache hit: solve {hit['solve_seconds']:.3f}s once, then "

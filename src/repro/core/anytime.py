@@ -31,10 +31,11 @@ its HiGHS windows never answered in time).
 
 Either scope ends as soon as its answer is proven: no mapping's peak is
 below :meth:`MappingSpec.peak_floor` (the largest pump rate or base
-load), so an incumbent at the floor is optimal — a certified offer in
-the race, an LNS ledger peak in the windowed scope.  A packer answer at
-the floor starts no exact lane; an LNS answer at the floor stops LNS
-and closes the pool, and the exact lane returns at its next poll.
+load, or the mean valve load rounded up to the rate lattice), so an
+incumbent at the floor is optimal — a certified offer in the race, an
+LNS ledger peak in the windowed scope.  A packer answer at the floor
+starts no exact lane; an LNS answer at the floor stops LNS and closes
+the pool, and the exact lane returns at its next poll.
 
 Otherwise the best objective is adopted; ties go to the exact answer,
 which also carries an optimality status.  A heuristic win engages the

@@ -31,6 +31,7 @@ mapper re-uses the same model for large cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
@@ -185,13 +186,40 @@ class MappingSpec:
         Each task's pump ring is non-empty, so some valve's eq. (2) load
         row carries the task's whole pump rate, and every committed base
         load stays on its valve (its load row or ``load[committed]``).
-        The anytime race stops at an incumbent that meets this floor.
+
+        Summing the load rows over the valves ``V`` that any candidate
+        ring or base load covers gives at least ``S`` = the pump rates
+        times each task's smallest candidate ring, plus the base loads,
+        so the peak is at least the mean ``S / |V|`` (the value of a
+        dual-feasible point of the LP relaxation).  Every load is a sum
+        of rates and base loads, so the peak is a multiple of their gcd
+        ``g``, and the mean rounds up to one.  The anytime race stops at
+        an incumbent that meets this floor.
         """
-        return max(
-            max((task.pump_rate for task in self.tasks), default=0),
-            max(self.base_load.values(), default=0),
-            0,
+        rates = [task.pump_rate for task in self.tasks]
+        loads = list(self.base_load.values())
+        floor = max(rates + loads + [0])
+        step = math.gcd(*rates, *loads)
+        sets = [
+            _enumerate_candidates(
+                self.grid, self.anchor_stride, self.blocked_cells,
+                task.volume, self.health,
+            )
+            for task in self.tasks
+        ]
+        if not step or not all(c.placements for c in sets):
+            return floor
+        total = sum(loads) + sum(
+            rate * int(np.diff(c.ring_ptr).min())
+            for rate, c in zip(rates, sets)
         )
+        height = self.grid.height
+        valves = np.unique(np.concatenate(
+            [c.ring for c in {id(c): c for c in sets}.values()]
+            + [np.array([p.x * height + p.y for p in self.base_load],
+                        dtype=np.int64)]
+        ))
+        return max(floor, step * -(-total // (step * len(valves))))
 
     def resolved_distance_limit(self) -> Optional[int]:
         if not self.routing_convenient:

@@ -8,6 +8,8 @@ from repro.assay.schedule import Schedule
 from repro.assay.scheduler import ListScheduler, SchedulerConfig
 from repro.assay.sequencing_graph import SequencingGraph
 from repro.assays.pcr import pcr_fig9_schedule, pcr_graph
+from repro.core.anytime import AnytimeMapper
+from repro.core.mapping_model import MappingModelBuilder
 from repro.core.synthesis import ReliabilitySynthesizer, SynthesisConfig
 from repro.geometry import GridSpec
 
@@ -47,6 +49,28 @@ def build_tiny_assay() -> tuple[SequencingGraph, Schedule]:
     graph.add_mix("c", ("a", "b"), duration=4, volume=8)
     schedule = ListScheduler(SchedulerConfig()).schedule(graph)
     return graph, schedule
+
+
+def record_race_specs(monkeypatch) -> list:
+    """The specs every ``AnytimeMapper.map_tasks`` call receives, in
+    call order (a spy; the race itself runs unchanged)."""
+    specs = []
+    original = AnytimeMapper.map_tasks
+
+    def recording_map(self, spec, **kwargs):
+        specs.append(spec)
+        return original(self, spec, **kwargs)
+
+    monkeypatch.setattr(AnytimeMapper, "map_tasks", recording_map)
+    return specs
+
+
+def highs_peak(spec) -> int:
+    """The peak pump load of ``spec``'s HiGHS MILP optimum."""
+    built = MappingModelBuilder(spec).build()
+    solution = built.model.solve(backend="scipy")
+    assert solution.status.value == "optimal"
+    return int(round(solution.value(built.w)))
 
 
 @pytest.fixture

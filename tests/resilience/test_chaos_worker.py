@@ -21,7 +21,7 @@ from repro.errors import (
 from repro.geometry import GridSpec
 from repro.resilience import FAULTS, DegradationLadder
 
-from tests.conftest import build_tiny_assay
+from tests.conftest import build_tiny_assay, highs_peak, record_race_specs
 
 
 def synthesize_tiny(expect_degraded=True, grid=GridSpec(8, 8), **config_kwargs):
@@ -63,15 +63,19 @@ class TestWorkerSites:
         assert_simulator_valid(result)
 
     @pytest.mark.parametrize("time_budget", [None, 3.0])
-    def test_every_attempt_lost_falls_back_to_serial(self, time_budget):
+    def test_every_attempt_lost_falls_back_to_serial(
+        self, monkeypatch, time_budget
+    ):
         # Enough planned crashes to exhaust all retries of the first
         # supervised solve: the mapper must re-solve in-process (the
         # worker_serial rung), not fail the synthesis.  With a budget
         # the solve is the anytime race's exact lane, and the rung it
         # engages must still reach the run's report.  On 8x8 the packer
         # meets the peak floor (40) and the race starts no exact lane;
-        # on 5x5 the optimum is 80, so the lane must run.
-        grid = GridSpec(8, 8) if time_budget is None else GridSpec(5, 5)
+        # on 5x6 the floor is 40 and the optimum 80, so the lane must
+        # run.
+        grid = GridSpec(8, 8) if time_budget is None else GridSpec(5, 6)
+        specs = record_race_specs(monkeypatch)
         with FAULTS.inject({"worker.crash": 3}):
             result = synthesize_tiny(
                 supervised=True, time_budget=time_budget, grid=grid
@@ -79,6 +83,7 @@ class TestWorkerSites:
         assert result.resilience.count(DegradationLadder.WORKER_SERIAL) >= 1
         if time_budget is not None:
             assert result.metrics.mapper == "anytime"
+            assert specs[0].peak_floor() < highs_peak(specs[0])
         assert_simulator_valid(result)
 
     def test_shrunk_window_halves_report_their_lost_workers(
