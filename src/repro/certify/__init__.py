@@ -9,14 +9,11 @@ never reuses solver or pipeline internals:
   original :class:`~repro.ilp.model.Model`;
 * :func:`certify_assignment` — the same replay for a bare variable
   assignment (heuristic incumbents of the anytime race);
-* :func:`certify_cut` — Chvátal–Gomory / cover-cut validity replay for
-  the root cutting planes of :mod:`repro.ilp.branch_bound`;
 * :func:`audit` — whole-design audits of a
   :class:`~repro.core.result.SynthesisResult`.
 """
 
 from repro.certify.audit import audit
-from repro.certify.cuts import certify_cut
 from repro.certify.lp import (
     Certificate,
     certify_assignment,
@@ -31,7 +28,6 @@ __all__ = [
     "Violation",
     "audit",
     "certify_assignment",
-    "certify_cut",
     "certify_lp",
     "certify_solution",
 ]

@@ -14,8 +14,10 @@ Gurobi is proprietary, so this package provides the substrate instead:
   sparse LU basis factorization, with a dual-simplex phase for warm
   starts from a stored basis;
 * a **branch & bound** MILP solver (:mod:`repro.ilp.branch_bound`) on
-  top: the standard form is compiled once per search and child nodes
-  warm start from their parent's optimal basis;
+  top: the standard form is compiled once per search, the root
+  relaxation is solved once, cold, and every other node warm starts
+  from its parent's optimal basis, so the tree never depends on the
+  clock;
 * an optional fast backend that maps the same model onto
   :func:`scipy.optimize.milp` (HiGHS).
 

@@ -8,12 +8,10 @@ Solves a :class:`repro.ilp.model.Model` by LP-relaxation branch & bound:
   what the disjunctions actually need;
 * relaxations solved by the from-scratch bounded-variable revised
   simplex over a :class:`repro.ilp.compiled.CompiledModel` — the
-  standard-form conversion happens **once per search**, and child nodes
-  **warm start** from their parent's optimal basis through the dual
-  simplex (``warm_start=False`` restores the per-node cold start);
-* a few rounds of root **cutting planes** (:mod:`repro.ilp.cuts`):
-  Gomory fractional cuts and knapsack covers, derived in exact
-  rationals and appended as extra ``<=`` rows before branching starts;
+  standard-form conversion happens **once per search**, the root
+  relaxation is solved once, cold, and every other node **warm starts**
+  from its parent's optimal basis through the dual simplex
+  (``warm_start=False`` restores the per-node cold start);
 * best-bound node selection (min-heap on the relaxation objective) with
   most-fractional branching;
 * optional node and time limits; when the search is cut short the best
@@ -37,7 +35,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +44,6 @@ from repro.ilp.compiled import Basis, CompiledModel
 from repro.ilp.incumbent import IncumbentPool
 from repro.ilp.model import Model, ObjectiveSense
 from repro.ilp.solution import Solution, SolveStatus
-from repro.ilp.sparse import as_csr
 from repro.ilp.tolerances import GAP_EPS, INTEGRALITY_EPS
 from repro.obs import TELEMETRY
 from repro.resilience.faults import FAULTS
@@ -59,42 +56,6 @@ _INT_TOL = INTEGRALITY_EPS
 #: children once the open-node heap grows past this size; basis-less
 #: nodes simply cold start (correctness is unaffected).
 _MAX_STORED_BASES = 10_000
-
-#: Root cutting-plane separation rounds (:func:`_root_cut_loop`).
-_CUT_ROUNDS = 3
-
-#: Standard-form row count below which warm starts are not even worth
-#: probing: on sub-ms LPs the cold path's identity-basis fast path and
-#: cached Dantzig pricing solve a node faster than the dual repair's
-#: per-node LU refactor alone, so tiny models silently run cold.  Both
-#: mapping probes clear this bar and keep their warm-start wins (PCR
-#: m=82: warm 0.088 s vs cold 0.104 s median after warmup; exponential
-#: m=217: ~4x).  The BENCH_ilp.json "regression" that once suggested a
-#: much higher threshold (PCR warm 0.288 s vs cold 0.101 s) was a
-#: measurement-order artifact — the warm run was timed first in a cold
-#: process and absorbed the lazy scipy imports and first-``splu``
-#: warmup; ``bench_record.py`` now does an untimed warmup solve.
-#: ``warm_start_min_rows=0`` forces warm starts regardless of size.
-_WARM_START_MIN_ROWS = 48
-
-#: Runtime warm-start governor: explored-node count after which the
-#: governor starts interleaving forced cold probe solves.  Trees smaller
-#: than this cannot lose enough absolute wall to warm overhead for the
-#: probe to pay (and probing them would wash out their measured warm
-#: wins — the PCR probe's whole tree is ~13 nodes).
-_GOVERNOR_PROBE_AFTER = 32
-#: Timed solves of each kind (warm / forced-cold) the governor collects
-#: before deciding.
-_GOVERNOR_PROBE_SAMPLES = 4
-#: Disable warm starts for the rest of the search when the mean warm
-#: solve is this many times slower than the mean cold probe solve.  The
-#: margin is deliberately wide and asymmetric: keeping warm starts on a
-#: marginally losing model wastes a few percent, while disabling them
-#: on a winning one forfeits up to 4x (the exponential probe), and a
-#: wide margin keeps the 4-sample wall-time decision deterministic on
-#: models far from the boundary (the CI-gated probes sit at ratios of
-#: ~1.0 and ~0.2; the dense models that lose sit at 5-9x).
-_GOVERNOR_DISABLE_FACTOR = 2.0
 
 #: Relative feasibility tolerance when replaying an externally injected
 #: incumbent against the presolved arrays.
@@ -178,172 +139,14 @@ class _Pseudocosts:
         return best_j, best_frac
 
 
-class _WarmStartGovernor:
-    """Runtime pivot-cost gate: keep warm starts only while they pay.
-
-    Standard-form row count alone does not predict the dual repair's
-    payoff — the sparse big-M mapping models win from m≈80 up, while
-    dense knapsack-style models lose at every size tested and even a
-    fine-stride (stride=1) mapping model loses at m=83, despite far
-    fewer simplex iterations in every case: the per-node LU refactor
-    and Python dual-pivot loop can dominate the iterations saved.  So
-    once the search has explored ``probe_after`` nodes (small trees
-    never accumulate enough warm overhead to be worth probing), the
-    governor forces alternate basis-carrying nodes to solve cold,
-    times both populations, and after ``samples`` of each disables
-    warm starts for the remainder of the search when the mean warm
-    solve is ``factor``x slower than the mean cold solve.  The gate is
-    a pure wall-time policy: statuses and objectives are unaffected.
-    """
-
-    __slots__ = (
-        "probe_after", "samples", "factor",
-        "warm_wall", "warm_n", "cold_wall", "cold_n",
-        "decided", "disable",
-    )
-
-    def __init__(
-        self,
-        probe_after: int = _GOVERNOR_PROBE_AFTER,
-        samples: int = _GOVERNOR_PROBE_SAMPLES,
-        factor: float = _GOVERNOR_DISABLE_FACTOR,
-    ) -> None:
-        self.probe_after = probe_after
-        self.samples = samples
-        self.factor = factor
-        self.warm_wall = 0.0
-        self.warm_n = 0
-        self.cold_wall = 0.0
-        self.cold_n = 0
-        self.decided = False
-        self.disable = False
-
-    def probing(self, nodes_explored: int) -> bool:
-        return not self.decided and nodes_explored >= self.probe_after
-
-    def force_cold(self) -> bool:
-        """Solve this basis-carrying node cold as a probe sample?"""
-        return self.cold_n < self.samples and self.cold_n <= self.warm_n
-
-    def record(self, warm: bool, wall: float) -> None:
-        """Feed one timed node solve; flips ``decided`` when enough
-        samples of both kinds are in."""
-        if self.decided:
-            return
-        if warm:
-            self.warm_wall += wall
-            self.warm_n += 1
-        else:
-            self.cold_wall += wall
-            self.cold_n += 1
-        if self.warm_n >= self.samples and self.cold_n >= self.samples:
-            self.decided = True
-            warm_mean = self.warm_wall / self.warm_n
-            cold_mean = self.cold_wall / self.cold_n
-            self.disable = warm_mean > self.factor * cold_mean
-
-
-def _root_cut_loop(
-    compiled: CompiledModel,
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    root_bounds: List[Tuple[float, float]],
-    integrality,
-    lp_max_iterations: int,
-    certify: str,
-    cut_stats: Dict[str, float],
-    stop: Callable[[], bool],
-) -> Tuple[
-    CompiledModel, np.ndarray, np.ndarray, Optional[Basis], Optional[float]
-]:
-    """Separate root cutting planes for up to ``_CUT_ROUNDS`` rounds.
-
-    Returns the (possibly rebuilt) compiled model, the grown ``a_ub`` /
-    ``b_ub``, the optimal root basis as a warm-start seed for the root
-    node (when the final root solve matches the final arrays), and the
-    final root relaxation objective — the proven root bound an injected
-    external incumbent is compared against.  ``stop()`` is polled before
-    each round and again between separation and certification; a stop
-    keeps whatever rounds already paid off.
-    """
-    from scipy.sparse import vstack
-
-    from repro.ilp.cuts import generate_cuts
-
-    if certify != "off":
-        from repro.certify.cuts import certify_cut
-
-    relax = compiled.solve(
-        root_bounds, max_iterations=lp_max_iterations, stop=stop
-    )
-    if relax.status is not SolveStatus.OPTIMAL or relax.x is None:
-        return compiled, a_ub, b_ub, None, None
-    obj = relax.objective
-    basis = relax.basis
-    for _ in range(_CUT_ROUNDS):
-        if stop():
-            break
-        if all(
-            abs(relax.x[j] - round(relax.x[j])) <= _INT_TOL
-            for j in range(len(root_bounds))
-            if integrality[j]
-        ):
-            break  # the root is already integral: nothing to separate
-        found = generate_cuts(
-            a_ub, b_ub, a_eq, b_eq, root_bounds, integrality, relax, compiled
-        )
-        if stop():
-            break
-        kept = []
-        for cut in found:
-            if certify != "off":
-                cert = certify_cut(
-                    cut, a_ub, b_ub, a_eq, b_eq, root_bounds, integrality
-                )
-                if cert.status != "certified":
-                    cut_stats["cuts_rejected"] += 1
-                    continue
-            kept.append(cut)
-        if not kept:
-            break
-        cand_a_ub = vstack(
-            [a_ub, as_csr(np.array([cut.row for cut in kept]), len(c))],
-            format="csr",
-        )
-        cand_b_ub = np.append(b_ub, [cut.rhs for cut in kept])
-        cand_compiled = CompiledModel(c, cand_a_ub, cand_b_ub, a_eq, b_eq)
-        cand_relax = cand_compiled.solve(
-            root_bounds, max_iterations=lp_max_iterations, stop=stop
-        )
-        if cand_relax.status is not SolveStatus.OPTIMAL or cand_relax.x is None:
-            break  # numerical trouble on the cut rows: keep old arrays
-        # Cuts pay rent in bound improvement; a round that moves the
-        # root bound by under 2% only makes every node's LP bigger, so
-        # it is reverted (big-M relaxations routinely produce such
-        # valid-but-toothless Gomory rows).
-        if cand_relax.objective <= obj + max(0.02 * abs(obj), 10 * GAP_EPS):
-            cut_stats["cuts_discarded"] += len(kept)
-            break
-        compiled, a_ub, b_ub = cand_compiled, cand_a_ub, cand_b_ub
-        relax, obj, basis = cand_relax, cand_relax.objective, cand_relax.basis
-        cut_stats["cuts_added"] += len(kept)
-        cut_stats["cut_rounds_run"] += 1
-    return compiled, a_ub, b_ub, basis, obj
-
-
 def solve_branch_bound(
     model: Model,
     max_nodes: int = 200_000,
     time_limit: Optional[float] = None,
     lp_max_iterations: int = 200_000,
     warm_start: bool = True,
-    warm_start_min_rows: int = _WARM_START_MIN_ROWS,
     certify: str = "off",
     presolve: bool = True,
-    cuts: bool = True,
     dive: bool = True,
     incumbent: Optional[IncumbentPool] = None,
 ) -> Solution:
@@ -361,31 +164,20 @@ def solve_branch_bound(
     ``presolve`` runs the exact-arithmetic reductions of
     :mod:`repro.ilp.presolve` on the ``to_arrays`` CSR rows; branching and
     every LP certificate then operate on the reduced arrays (variables
-    are never renumbered, so solutions need no postsolve).  ``cuts``
-    adds up to ``_CUT_ROUNDS`` rounds of root cutting planes
-    (:mod:`repro.ilp.cuts`).  Under ``certify != "off"`` every cut must
-    pass :func:`repro.certify.certify_cut` or it is dropped, so a strict
-    search never tightens the relaxation on unproven grounds.
+    are never renumbered, so solutions need no postsolve).
 
-    With ``warm_start`` every child node re-solves from its parent's
-    optimal basis through the dual simplex instead of a two-phase cold
-    start; ``warm_start=False`` keeps the cold-start
-    path (statuses and objectives are identical either way — asserted in
-    ``tests/ilp/test_warm_start.py``).  ``warm_start_min_rows`` gates
-    warm starts by standard-form size: below the threshold the dual
-    repair's per-node refactor costs more wall than the cold fast path
-    it replaces, so small models silently run cold
-    (``stats["warm_start_gated"]``; pass 0 to force warm starts).
-    Above the threshold a runtime governor still watches the payoff:
-    after 32 explored nodes it interleaves a few forced cold probe
-    solves (``stats["warm_probe_solves"]``) and permanently disables
-    warm starts for the rest of the search when the mean warm solve is
-    measurably slower than the mean cold one
-    (``stats["warm_start_disabled"]`` — row count alone does not
-    predict the payoff; see :class:`_WarmStartGovernor`).
-    ``_MAX_STORED_BASES`` bounds the warm-start memory: once the
-    open-node heap outgrows it, children are pushed without a basis
-    snapshot and cold start on arrival.
+    With ``warm_start`` the root relaxation is solved once, cold; its
+    optimal basis seeds the dive and the root node, and every child
+    node re-solves from its parent's optimal basis through the dual
+    simplex instead of a two-phase cold start.  ``warm_start=False``
+    keeps the cold-start path (statuses and objectives are identical
+    either way — asserted in ``tests/ilp/test_warm_start.py``).  Only
+    the stop signal below reads the clock, so a search that is not
+    stopped explores the same tree on every run.
+    ``stats["simplex_iterations"]`` sums the pivots of every relaxation
+    solved, the root included.  ``_MAX_STORED_BASES`` bounds the
+    warm-start memory: once the open-node heap outgrows it, children
+    are pushed without a basis snapshot and cold start on arrival.
 
     ``incumbent`` (an :class:`repro.ilp.incumbent.IncumbentPool`) wires
     this search into the anytime race (DESIGN.md §13): externally
@@ -398,7 +190,7 @@ def solve_branch_bound(
 
     The search has one stop signal: ``time_limit`` has passed, or the
     race closed ``incumbent`` (:meth:`IncumbentPool.close`).  Presolve
-    (before every row), each cut round, the dive, the node loop and the
+    (before every row), the root solve, the dive, the node loop and the
     simplex pivot loops all poll it.  A stopped search adopts no further
     offers and returns its best incumbent as FEASIBLE (or NO_SOLUTION
     without one).
@@ -463,31 +255,6 @@ def solve_branch_bound(
 
     compiled = CompiledModel(c, a_ub, b_ub, a_eq, b_eq)
 
-    warm_gated = False
-    if warm_start and compiled.m < warm_start_min_rows:
-        # See _WARM_START_MIN_ROWS: below this size the cold path is
-        # faster per node than the dual repair it would replace.
-        warm_start = False
-        warm_gated = True
-    governor = _WarmStartGovernor() if warm_start else None
-
-    cut_stats: Dict[str, float] = {
-        "cuts_added": 0,
-        "cuts_rejected": 0,  # failed certification
-        "cuts_discarded": 0,  # valid but did not move the root bound
-        "cut_rounds_run": 0,
-        "cut_wall_time": 0.0,
-    }
-    root_basis: Optional[Basis] = None
-    root_obj: Optional[float] = None
-    if cuts and int_indices:
-        cut_start = time.perf_counter()
-        compiled, a_ub, b_ub, root_basis, root_obj = _root_cut_loop(
-            compiled, c, a_ub, b_ub, a_eq, b_eq, root_bounds, integrality,
-            lp_max_iterations, certify, cut_stats, stopped,
-        )
-        cut_stats["cut_wall_time"] = time.perf_counter() - cut_start
-
     counter = itertools.count()
     best_x: Optional[np.ndarray] = None
     best_obj = math.inf  # minimize-form objective (already sense-adjusted)
@@ -512,16 +279,26 @@ def solve_branch_bound(
         "lp_cert_skipped": 0,  # statuses with nothing to verify
     }
     stats.update(presolve_stats)
-    stats.update(cut_stats)
-    stats["warm_start_gated"] = 1.0 if warm_gated else 0.0
-    stats["warm_start_disabled"] = 0.0  # governor turned warm off mid-search
-    stats["warm_probe_solves"] = 0  # forced cold probe solves
     stats["dive_solves"] = 0
     stats["dive_found_incumbent"] = 0
     stats["external_offers_seen"] = 0
     stats["external_incumbents"] = 0  # offers adopted as upper bounds
     stats["external_rejected"] = 0  # offers failing the float replay
     stats["root_bound_stop"] = 0  # injected incumbent met the root bound
+
+    # The root relaxation, solved once and cold: its basis seeds the
+    # dive and the root node, its objective is the bound an injected
+    # incumbent is compared against.
+    root_basis: Optional[Basis] = None
+    root_obj: Optional[float] = None
+    seed_root = warm_start and bool(int_indices)
+    if seed_root:
+        relax0 = compiled.solve(
+            root_bounds, max_iterations=lp_max_iterations, stop=stopped
+        )
+        stats["simplex_iterations"] += relax0.iterations
+        if relax0.status is SolveStatus.OPTIMAL:
+            root_basis, root_obj = relax0.basis, relax0.objective
 
     sense_sign = (
         -1.0 if model.objective_sense is ObjectiveSense.MAXIMIZE else 1.0
@@ -533,8 +310,7 @@ def solve_branch_bound(
 
         Presolve only tightens integer bounds and strengthens big-M
         coefficients over the integer-feasible set, so any genuinely
-        feasible integral offer passes; cut rows are valid inequalities
-        for every integral point by construction.
+        feasible integral offer passes.
         """
         for j, (lo, hi) in enumerate(root_bounds):
             if x[j] < lo - _EXTERNAL_FEAS_TOL or x[j] > hi + _EXTERNAL_FEAS_TOL:
@@ -579,25 +355,20 @@ def solve_branch_bound(
     if best_x is not None and stats["external_incumbents"]:
         # Satellite of the anytime race: an injected incumbent that
         # already matches the proven root bound needs no enumeration.
-        if root_obj is None:
+        if not seed_root:  # the root is not solved yet
             relax0 = compiled.solve(
-                root_bounds,
-                basis=root_basis if warm_start else None,
-                max_iterations=lp_max_iterations,
-                stop=stopped,
+                root_bounds, max_iterations=lp_max_iterations, stop=stopped
             )
             stats["simplex_iterations"] += relax0.iterations
             if relax0.status is SolveStatus.OPTIMAL:
                 root_obj = relax0.objective
-                if warm_start:
-                    root_basis = relax0.basis
         if root_obj is not None and best_obj <= root_obj + GAP_EPS:
             stats["root_bound_stop"] = 1
             root_stop = True
 
     if dive and int_indices and best_x is None:
         dive_bounds = list(root_bounds)
-        dive_basis = root_basis if warm_start else None
+        dive_basis = root_basis
         for _ in range(len(int_indices) + 1):
             if stopped():
                 break
@@ -640,10 +411,7 @@ def solve_branch_bound(
             dive_bounds[frac_j] = (fix, fix)
             dive_basis = relax.basis if warm_start else None
 
-    root = _Node(
-        -math.inf, next(counter), list(root_bounds),
-        basis=root_basis if warm_start else None,
-    )
+    root = _Node(-math.inf, next(counter), list(root_bounds), basis=root_basis)
     heap: List[_Node] = [] if root_stop else [root]
     pseudo = _Pseudocosts()
 
@@ -662,31 +430,14 @@ def solve_branch_bound(
         if node.bound >= best_obj - GAP_EPS:
             stats["nodes_pruned_bound"] += 1
             continue  # cannot improve the incumbent
-        node_basis = node.basis if warm_start else None
-        probing = (
-            governor is not None
-            and warm_start
-            and governor.probing(int(stats["nodes_explored"]))
-        )
-        if probing and node_basis is not None and governor.force_cold():
-            # Governor probe: sample the cold path's per-node cost on
-            # this very search (see _WarmStartGovernor).
-            node_basis = None
-            stats["warm_probe_solves"] += 1
-        if node_basis is not None:
+        if node.basis is not None:
             stats["basis_reuse_hits"] += 1
         lp_start = time.perf_counter()
         relax = compiled.solve(
-            node.bounds, basis=node_basis, max_iterations=lp_max_iterations,
+            node.bounds, basis=node.basis, max_iterations=lp_max_iterations,
             want_duals=certifying, stop=stopped,
         )
-        lp_wall = time.perf_counter() - lp_start
-        stats["lp_wall_time"] += lp_wall
-        if probing:
-            governor.record(node_basis is not None, lp_wall)
-            if governor.decided and governor.disable:
-                warm_start = False
-                stats["warm_start_disabled"] = 1.0
+        stats["lp_wall_time"] += time.perf_counter() - lp_start
         if certifying:
             cert = certify_lp(relax, c, a_ub, b_ub, a_eq, b_eq, node.bounds)
             if cert.status == "certified":
@@ -862,16 +613,11 @@ def _finish(
             "basis_reuse_hits",
             "warm_starts",
             "warm_fallbacks",
-            "warm_start_gated",
-            "warm_start_disabled",
-            "warm_probe_solves",
             "dual_pivots",
             "external_offers_seen",
             "external_incumbents",
             "external_rejected",
             "root_bound_stop",
-            "cuts_added",
-            "cuts_rejected",
             "presolve_rows_dropped",
             "presolve_bounds_tightened",
             "presolve_coeffs_strengthened",

@@ -413,24 +413,6 @@ class CompiledModel:
                 TELEMETRY.count("simplex.residual_refactors", hits)
         return res
 
-    # -- tableau access (root cuts) --------------------------------------
-
-    def basis_row_multipliers(
-        self, basis: Basis, row_indices: Sequence[int]
-    ) -> Optional[np.ndarray]:
-        """Rows ``e_r^T B^-1`` of the basis inverse, for cut derivation.
-
-        Returns a ``(len(row_indices), m)`` array of row multipliers in
-        the caller's row space, or ``None`` when the basis cannot be
-        factorized.
-        """
-        fac = _SparseLuFactor(self.asp)
-        try:
-            fac.refactor(np.asarray(basis.basic))
-        except _SingularBasis:
-            return None
-        return np.array([fac.row(int(r)) for r in row_indices])
-
     # -- cold path -------------------------------------------------------
 
     def _cold_solve(

@@ -8,8 +8,6 @@ module import, so importing the synthesis stack stays numpy-only.
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 
@@ -32,9 +30,3 @@ def as_csr(a, n: int):
     if not a.size:
         return csr_matrix((0, n))
     return csr_matrix(a.reshape(-1, n))
-
-
-def row_items(a, i: int) -> Dict[int, float]:
-    """Row ``i`` of a canonical CSR matrix as ``{column: coefficient}``."""
-    lo, hi = a.indptr[i], a.indptr[i + 1]
-    return dict(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))

@@ -2,8 +2,8 @@
 
 Every eps constant used by the from-scratch solvers lives here, with
 its semantics documented once, instead of being re-declared (and
-silently diverging) across :mod:`repro.ilp.compiled`,
-:mod:`repro.ilp.cuts` and :mod:`repro.ilp.branch_bound`.  The
+silently diverging) across :mod:`repro.ilp.compiled` and
+:mod:`repro.ilp.branch_bound`.  The
 certification layer (:mod:`repro.certify`) imports the same constants,
 so the checker and the solvers always agree on what "zero" means.
 
@@ -46,9 +46,6 @@ constant                  meaning
                           so the checker itself never rounds
 ``MILP_GAP_RTOL``         relative slack when auditing a reported MILP
                           gap against the replayed incumbent and bound
-``CUT_VIOLATION_EPS``     minimum violation of the fractional optimum a
-                          root cutting plane must achieve to be kept (a
-                          weaker cut is not worth a denser LP)
 ========================  =============================================
 """
 
@@ -89,6 +86,3 @@ CERT_EPS = Fraction(1, 10**6)
 
 #: Relative slack when auditing a reported MILP gap.
 MILP_GAP_RTOL = 1e-4
-
-#: Minimum violation for a root cut to be kept.
-CUT_VIOLATION_EPS = 1e-4

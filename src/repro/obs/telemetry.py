@@ -15,10 +15,11 @@ Counter names are dotted paths, one prefix per subsystem:
 
 * ``simplex.*`` — LP iterations, pivot wall time (``repro.ilp.compiled``)
 * ``bb.*`` — branch & bound nodes explored / pruned / fallen-back,
-  per-node LP wall time, and the warm-start counters
+  per-node LP wall time, ``simplex_iterations`` (every relaxation the
+  search solves, the root included) and the warm-start counters
   (``basis_reuse_hits``, ``warm_starts``, ``warm_fallbacks``,
-  ``dual_pivots``, ``simplex_iterations``) of the compiled-model
-  engine (``repro.ilp.branch_bound``)
+  ``dual_pivots``) of the compiled-model engine
+  (``repro.ilp.branch_bound``)
 * ``mapper.*`` — window solves, greedy fallbacks, refinement
   accept/reject tallies, process-pool refinement activity
   (``parallel_windows``, ``parallel_stale``) (``repro.core.mappers``)

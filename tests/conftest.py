@@ -9,7 +9,8 @@ from repro.assay.scheduler import ListScheduler, SchedulerConfig
 from repro.assay.sequencing_graph import SequencingGraph
 from repro.assays.pcr import pcr_fig9_schedule, pcr_graph
 from repro.core.anytime import AnytimeMapper
-from repro.core.mapping_model import MappingModelBuilder
+from repro.core.mapping_model import MappingModelBuilder, MappingSpec
+from repro.core.tasks import build_tasks
 from repro.core.synthesis import ReliabilitySynthesizer, SynthesisConfig
 from repro.geometry import GridSpec
 
@@ -63,6 +64,17 @@ def record_race_specs(monkeypatch) -> list:
 
     monkeypatch.setattr(AnytimeMapper, "map_tasks", recording_map)
     return specs
+
+
+def case_model(case_name: str, stride: int, lo: int = 0, hi=None):
+    """The mapping model of tasks ``[lo:hi]`` of a registry case (its
+    first policy's schedule) on an ``anchor_stride=stride`` grid."""
+    from repro.assays import get_case, schedule_for
+
+    case = get_case(case_name)
+    tasks = build_tasks(case.graph(), schedule_for(case, case.policies(1)[0]))
+    spec = MappingSpec(grid=case.grid, tasks=tasks[lo:hi], anchor_stride=stride)
+    return MappingModelBuilder(spec).build().model
 
 
 def highs_peak(spec) -> int:

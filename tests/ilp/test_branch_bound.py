@@ -1,9 +1,13 @@
 """Unit tests for the from-scratch branch & bound MILP solver."""
 
+import itertools
+
 import pytest
 
-from repro.ilp import Model, SolveStatus, quicksum
+from repro.ilp import CompiledModel, Model, SolveStatus, quicksum
 from repro.ilp.branch_bound import solve_branch_bound
+from repro.ilp.incumbent import IncumbentPool
+from tests.conftest import case_model
 
 
 def knapsack_model():
@@ -59,9 +63,7 @@ class TestBranchBound:
 
     def test_node_limit_degrades_gracefully(self):
         m, _ = knapsack_model()
-        # Root cuts would solve this at the root with a proof; disable
-        # them so the node limit actually binds.
-        sol = solve_branch_bound(m, max_nodes=1, cuts=False)
+        sol = solve_branch_bound(m, max_nodes=1)
         assert sol.status in (SolveStatus.FEASIBLE, SolveStatus.NO_SOLUTION)
 
     def test_equality_constrained_milp(self):
@@ -79,3 +81,52 @@ class TestBranchBound:
         sol = solve_branch_bound(m)
         for x in xs:
             assert sol.value(x) == int(sol.value(x))
+
+
+class TestIterationAccounting:
+    """``stats["simplex_iterations"]`` is the sum over every LP solved,
+    the root relaxation included (a 2-task mapping window's root takes
+    dozens of pivots)."""
+
+    @staticmethod
+    def _spy(monkeypatch, stop_first_after=None, pool=None):
+        results = []
+        original = CompiledModel.solve
+
+        def spy(self, bounds, basis=None, **kwargs):
+            if stop_first_after is not None and not results:
+                # Close the race's pool part-way through the root LP.
+                outer, polls = kwargs["stop"], itertools.count()
+
+                def stop():
+                    if next(polls) >= stop_first_after:
+                        pool.close()
+                    return outer()
+
+                kwargs["stop"] = stop
+            res = original(self, bounds, basis=basis, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(CompiledModel, "solve", spy)
+        return results
+
+    def test_finished_search_counts_every_solve(self, monkeypatch):
+        results = self._spy(monkeypatch)
+        sol = solve_branch_bound(case_model("fuzz:1:6", stride=3, hi=2))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert results[0].iterations > 0  # the root relaxation
+        assert sol.stats["simplex_iterations"] == sum(
+            r.iterations for r in results
+        )
+
+    def test_search_stopped_in_its_root_lp(self, monkeypatch):
+        pool = IncumbentPool()
+        results = self._spy(monkeypatch, stop_first_after=10, pool=pool)
+        sol = solve_branch_bound(
+            case_model("fuzz:1:6", stride=3, hi=2), incumbent=pool
+        )
+        assert sol.status is SolveStatus.NO_SOLUTION
+        assert len(results) == 1
+        assert results[0].status is SolveStatus.NO_SOLUTION
+        assert sol.stats["simplex_iterations"] == results[0].iterations > 0

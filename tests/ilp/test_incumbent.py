@@ -205,12 +205,7 @@ class TestRootBoundStop:
         model = _fractional_root_model()
         pool = IncumbentPool()
         pool.offer([0.0, 3.0], 6.0)  # optimal, but root bound is 14/3
-        # cuts=False pins the root bound at the LP vertex: a Gomory cut
-        # could legitimately close the root to 6 and stop immediately,
-        # which is the *other* test's behavior.
-        solution = model.solve(
-            backend="branch_bound", incumbent=pool, cuts=False
-        )
+        solution = model.solve(backend="branch_bound", incumbent=pool)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.stats["root_bound_stop"] == 0
         # Proving optimality still requires enumeration.
@@ -250,10 +245,13 @@ class TestClose:
         assert solution.stats["external_offers_seen"] == 0
 
     def test_close_mid_search_returns_the_incumbent(self):
-        model = _fractional_root_model()
+        # The dive's first leaf is integral, so the pool closes between
+        # the dive and the node loop.
+        model = _integral_root_model()
         pool = _CloseOnFirstIncumbent()
         solution = model.solve(backend="branch_bound", incumbent=pool)
         assert pool.closed
+        assert solution.stats["dive_found_incumbent"] == 1
         assert solution.status is SolveStatus.FEASIBLE
         assert solution.stats["nodes_explored"] == 0
         assert model.check_solution(solution.values) == []

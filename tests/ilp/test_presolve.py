@@ -146,8 +146,8 @@ class TestEndToEndEquivalence:
         reduced_something = 0
         for _ in range(40):
             model = self._random_milp(rng)
-            on = solve_branch_bound(model, presolve=True, cuts=False)
-            off = solve_branch_bound(model, presolve=False, cuts=False)
+            on = solve_branch_bound(model, presolve=True)
+            off = solve_branch_bound(model, presolve=False)
             assert on.status is off.status is SolveStatus.OPTIMAL
             assert on.objective == pytest.approx(off.objective, abs=1e-6)
             assert model.check_solution(on.values) == []
@@ -166,7 +166,7 @@ class TestEndToEndEquivalence:
         model.add_constr(2 * x >= 1.2)  # x >= 0.6
         model.add_constr(2 * x <= 0.8)  # x <= 0.4
         model.minimize(x)
-        sol = solve_branch_bound(model, presolve=True, cuts=False)
+        sol = solve_branch_bound(model, presolve=True)
         assert sol.status is SolveStatus.INFEASIBLE
 
     def test_big_m_disjunction_bound_tightens(self):
@@ -180,7 +180,7 @@ class TestEndToEndEquivalence:
         )
         model.add_constr(a + b <= 8)
         model.maximize(a + b)
-        on = solve_branch_bound(model, presolve=True, cuts=False)
-        off = solve_branch_bound(model, presolve=False, cuts=False)
+        on = solve_branch_bound(model, presolve=True)
+        off = solve_branch_bound(model, presolve=False)
         assert on.objective == pytest.approx(off.objective)
         assert on.stats["presolve_coeffs_strengthened"] >= 1

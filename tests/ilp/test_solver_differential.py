@@ -10,7 +10,9 @@ A presolve stopped after any number of rows keeps HiGHS' MILP optimum
 on the same windows, and on windows whose other tasks are committed
 (where presolve has rows to drop, bounds to tighten and big-M
 coefficients to shrink): every reduction it applied before the stop is
-implied by the original rows.
+implied by the original rows.  Whole small fuzzed assays at
+``anchor_stride=2`` must close to HiGHS' optimum with a certified
+incumbent, and a second solve must explore the identical tree.
 """
 
 import itertools
@@ -19,12 +21,13 @@ import numpy as np
 import pytest
 
 from repro.assays import get_case, schedule_for
-from repro.certify.lp import certify_lp
+from repro.certify.lp import certify_lp, certify_solution
 from repro.core.mappers import GreedyMapper, window_subspec
 from repro.core.mapping_model import MappingModelBuilder, MappingSpec
 from repro.core.tasks import build_tasks
 from repro.ilp import CompiledModel, SolveStatus
 from repro.ilp.presolve import presolve_arrays
+from tests.conftest import case_model
 
 #: Node cap for the branch & bound side: a window that needs more
 #: nodes ends FEASIBLE (or NO_SOLUTION) and is not compared, which
@@ -102,6 +105,24 @@ def test_branch_bound_matches_highs_on_fuzzed_windows(seed: int) -> None:
             assert mine.status is SolveStatus.NO_SOLUTION, label
     # The 2-task windows of these seeds close well inside the node cap.
     assert compared >= 2
+
+
+@pytest.mark.parametrize(
+    "case_name", ["fuzz:3:4", "fuzz:4:4", "fuzz:5:4", "fuzz:7:4", "fuzz:3:5"]
+)
+def test_whole_fuzzed_assays_close_to_the_highs_optimum(case_name: str) -> None:
+    model = case_model(case_name, stride=2)
+    mine = model.solve(backend="branch_bound")
+    highs = model.solve(backend="scipy")
+    assert highs.status is SolveStatus.OPTIMAL
+    assert mine.status is SolveStatus.OPTIMAL
+    assert mine.objective == pytest.approx(highs.objective, abs=1e-6)
+    cert = certify_solution(model, mine)
+    assert cert.status == "certified", [str(v) for v in cert.violations]
+    again = model.solve(backend="branch_bound")
+    assert again.nodes_explored == mine.nodes_explored
+    assert again.stats["simplex_iterations"] == mine.stats["simplex_iterations"]
+    assert again.values == mine.values
 
 
 def _highs_milp(c, a_ub, b_ub, a_eq, b_eq, bounds, integrality) -> float:

@@ -66,12 +66,10 @@ class TestUnboundedBelowRoot:
         # With exact arithmetic a child region (a subset of the root's)
         # can never be unbounded when the root was bounded, so the only
         # real-world source is a numerically confused LP engine — fake
-        # one: OPTIMAL-fractional at the root, UNBOUNDED below it.
-        calls = {"n": 0}
-
+        # one: OPTIMAL-fractional on the root box (the seed solve and the
+        # root node both see it), UNBOUNDED below it.
         def flaky_relaxation(self, bounds, *args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
+            if list(bounds) == [(0.0, 10.0)]:
                 return LpResult(
                     SolveStatus.OPTIMAL, np.array([1.5]), -1.5
                 )
@@ -83,10 +81,9 @@ class TestUnboundedBelowRoot:
         m.add_constr(2 * x <= 3)
         m.maximize(x)
         # Presolve would fold 2x <= 3 into the bound (making the faked
-        # ceil child trivially empty), and the cut loop and rounding
-        # dive would bypass the monkeypatch; disable all three to keep
-        # the scenario intact.
-        sol = solve_branch_bound(m, presolve=False, cuts=False, dive=False)
+        # ceil child trivially empty), and the rounding dive would bypass
+        # the monkeypatch; disable both to keep the scenario intact.
+        sol = solve_branch_bound(m, presolve=False, dive=False)
         # Both children were dropped unexplored: the search must report
         # "unknown", not certify infeasibility.
         assert sol.status is SolveStatus.NO_SOLUTION

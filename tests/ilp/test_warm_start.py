@@ -12,6 +12,7 @@ anti-cycling safeguard directly.
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -47,21 +48,17 @@ def _random_milp(rng: random.Random) -> Model:
 
 
 def _solve_both(model: Model, **kwargs):
-    # Presolve, root cuts, and the rounding dive are disabled here on
-    # purpose: these tests isolate the warm-start machinery, and all
-    # three stages would otherwise close many roots (or pre-seed an
-    # incumbent) before a single branching (dual-simplex) step.
-    # warm_start_min_rows=0 bypasses the small-model wall-time gate —
-    # these instances are far below it, and the point here is
-    # equivalence, not speed.
+    # Presolve and the rounding dive are disabled here on purpose: these
+    # tests isolate the warm-start machinery, and both stages would
+    # otherwise close many roots (or pre-seed an incumbent) before a
+    # single branching (dual-simplex) step.
     warm = model.solve(
         backend="branch_bound", warm_start=True,
-        warm_start_min_rows=0, presolve=False, cuts=False, dive=False,
-        **kwargs
+        presolve=False, dive=False, **kwargs
     )
     cold = model.solve(
         backend="branch_bound", warm_start=False,
-        presolve=False, cuts=False, dive=False, **kwargs
+        presolve=False, dive=False, **kwargs
     )
     return warm, cold
 
@@ -107,76 +104,12 @@ class TestRandomizedEquivalence:
 
 
 class TestWarmStartGates:
-    """The size gate and the runtime payoff governor."""
-
-    def test_tiny_models_are_row_gated(self):
-        model = Model("tiny")
-        x = model.add_binary("x")
-        y = model.add_binary("y")
-        model.add_constr(x + y <= 1)
-        model.maximize(2 * x + 3 * y)
-        solution = model.solve(
-            backend="branch_bound", warm_start=True
-        )
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.stats["warm_start_gated"] == 1
-        assert solution.stats["warm_starts"] == 0
-        # ... and the bypass works.
-        forced = model.solve(
-            backend="branch_bound", warm_start=True,
-            warm_start_min_rows=0,
-        )
-        assert forced.stats["warm_start_gated"] == 0
-
-    def test_governor_decision_rule(self):
-        from repro.ilp.branch_bound import _WarmStartGovernor
-
-        gov = _WarmStartGovernor(probe_after=32, samples=2, factor=2.0)
-        assert not gov.probing(31)
-        assert gov.probing(32)
-        # Alternation: first a cold probe, then a warm sample, ...
-        assert gov.force_cold()
-        gov.record(False, 1.0)
-        assert not gov.force_cold()
-        gov.record(True, 10.0)
-        assert gov.force_cold()
-        gov.record(False, 1.0)
-        assert not gov.decided
-        gov.record(True, 10.0)
-        # Warm mean 10 vs cold mean 1 with factor 2: decisively off.
-        assert gov.decided
-        assert gov.disable
-        assert not gov.probing(100)  # probing ends with the decision
-
-    def test_governor_keeps_decisively_faster_warm(self):
-        from repro.ilp.branch_bound import _WarmStartGovernor
-
-        gov = _WarmStartGovernor(samples=2, factor=2.0)
-        for warm, wall in (
-            (False, 4.0), (True, 1.0), (False, 4.0), (True, 1.0)
-        ):
-            gov.record(warm, wall)
-        assert gov.decided
-        assert not gov.disable
-
-    def test_governor_keeps_borderline_warm(self):
-        # The asymmetric margin: a marginally slower warm path stays on
-        # (disabling a winner costs far more than keeping a near-tie).
-        from repro.ilp.branch_bound import _WarmStartGovernor
-
-        gov = _WarmStartGovernor(samples=2, factor=2.0)
-        for warm, wall in (
-            (False, 1.0), (True, 1.5), (False, 1.0), (True, 1.5)
-        ):
-            gov.record(warm, wall)
-        assert gov.decided
-        assert not gov.disable
+    """Warm starts have no gate: no row count and no clock turns them off."""
 
     def test_governor_probe_preserves_answers(self):
-        # A dense random model above the row gate with a tree past the
-        # probe threshold: whatever the wall-time decision, statuses
-        # and objectives must match the cold path and probes must have
-        # actually run.
+        # A dense random model with a deep tree, the kind whose warm
+        # solves cost more wall than cold ones: warm starts stay on and
+        # must still match the cold path's status and objective.
         rng = random.Random(5)
         model = Model("dense")
         xs = [model.add_binary(f"x{i}") for i in range(30)]
@@ -189,20 +122,45 @@ class TestWarmStartGates:
         model.maximize(
             quicksum(rng.randint(1, 20) * x for x in xs)
         )
-        warm = model.solve(
-            backend="branch_bound", warm_start=True,
-            presolve=False, cuts=False, dive=False,
-        )
-        cold = model.solve(
-            backend="branch_bound", warm_start=False,
-            presolve=False, cuts=False, dive=False,
-        )
+        warm, cold = _solve_both(model)
         assert warm.status is cold.status is SolveStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective)
-        assert warm.stats["warm_start_gated"] == 0
-        assert warm.stats["warm_probe_solves"] > 0
-        assert cold.stats["warm_probe_solves"] == 0
+        assert warm.stats["warm_starts"] > 0
         assert model.check_solution(warm.values) == []
+
+    def test_tree_does_not_depend_on_the_clock(self, monkeypatch):
+        # A mapping window whose tree is deep enough that a wall-clock
+        # policy would have measured it: slowing every warm solve by
+        # 20 ms must change neither the tree nor the answer.
+        from repro.ilp.branch_bound import solve_branch_bound
+        from tests.conftest import case_model
+
+        model = case_model("fuzz:1:6", stride=3, lo=2, hi=4)
+
+        def fingerprint(solution):
+            return (
+                solution.status,
+                solution.objective,
+                solution.nodes_explored,
+                solution.stats["simplex_iterations"],
+                solution.stats["dual_pivots"],
+                sorted((v.name, x) for v, x in solution.values.items()),
+            )
+
+        first = fingerprint(solve_branch_bound(model))
+        second = fingerprint(solve_branch_bound(model))
+        original = CompiledModel.solve
+
+        def slow_warm_solve(self, bounds, basis=None, **kwargs):
+            if basis is not None:
+                time.sleep(0.02)
+            return original(self, bounds, basis=basis, **kwargs)
+
+        monkeypatch.setattr(CompiledModel, "solve", slow_warm_solve)
+        slowed = fingerprint(solve_branch_bound(model))
+        assert first[0] is SolveStatus.OPTIMAL
+        assert first[2] > 32  # deep enough for a timing policy to act
+        assert first == second == slowed
 
 
 class TestStatuses:
@@ -278,8 +236,7 @@ class TestCompiledModelDirect:
 
     def test_singular_basis_falls_back_cold(self):
         # A stale basis snapshot can be structurally singular by the
-        # time a node reuses it (e.g. after cut rows changed the model
-        # shape, or a corrupted cache).  The warm path must detect the
+        # time a node reuses it (e.g. a corrupted cache).  The warm path must detect the
         # singular factorization and recover through the cold start —
         # same OPTIMAL answer, with the wasted reuse attempt recorded —
         # never crash or pivot on garbage factors.
@@ -320,7 +277,7 @@ class TestCompiledModelDirect:
         model.maximize(quicksum(v * x for v, x in zip(values, xs)))
         clean = model.solve(
             backend="branch_bound", warm_start=True,
-            warm_start_min_rows=0, presolve=False, cuts=False, dive=False,
+            presolve=False, dive=False,
         )
 
         from repro.ilp import compiled as compiled_mod
@@ -337,7 +294,7 @@ class TestCompiledModelDirect:
         try:
             corrupted = model.solve(
                 backend="branch_bound", warm_start=True,
-                warm_start_min_rows=0, presolve=False, cuts=False, dive=False,
+                presolve=False, dive=False,
             )
         finally:
             compiled_mod.CompiledModel.solve = original
