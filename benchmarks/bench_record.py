@@ -113,6 +113,7 @@ def run_probe(case_name: str, n_tasks: int, stride: int) -> Dict:
             "nodes": int(stats["nodes_explored"]),
             "simplex_iterations": int(stats["simplex_iterations"]),
             "dual_pivots": int(stats["dual_pivots"]),
+            "warm_starts": int(stats["warm_starts"]),
             "warm_fallbacks": int(stats["warm_fallbacks"]),
         }
     warm_iters = max(entry["warm"]["simplex_iterations"], 1)

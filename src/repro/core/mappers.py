@@ -43,6 +43,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import SolverError, SynthesisError, WorkerCrashError
 from repro.geometry import Point
 from repro.architecture.device import DynamicDevice, Placement
@@ -1155,10 +1157,12 @@ class GreedyMapper(BaseMapper):
     Tasks in (start, name) order take the placement minimizing, in
     lexicographic order: the resulting maximum pump load on the ring,
     the total pre-existing load under the ring (prefer fresh valves),
-    the gap to committed parent devices, then corner coordinates and
-    type index (determinism).  Non-overlap with temporally intersecting
-    committed devices is a hard filter; the (parent, child)
-    storage-overlap permission mirrors the ILP's c5.
+    the permitted storage overlaps, the gap to committed parents, the
+    margin contact with concurrent non-parents, then corner
+    coordinates and type index (which make every key unique).
+    Non-overlap with temporally intersecting committed devices is a
+    hard filter; the (parent, child) storage-overlap permission mirrors
+    the ILP's c5.  Each task scores all its candidates in one array pass.
 
     The routing-convenient distance limit is *two-tier*: placements
     within distance ``d`` of every committed parent are strictly
@@ -1182,73 +1186,89 @@ class GreedyMapper(BaseMapper):
         # any sane budget, so the deadline is accepted but not polled.
         start_time = time.monotonic()
         ordered = sorted(spec.tasks, key=lambda t: (t.start, t.name))
-        committed: Dict[str, DynamicDevice] = dict(spec.fixed)
-        base_load: Dict[Point, int] = dict(spec.base_load)
+        grid = spec.grid
+        d = spec.resolved_distance_limit()
+        # Committed devices in commitment order, one column each of
+        # left, right, bottom, top, start, end.
+        names = list(spec.fixed)
+        box = np.zeros((6, len(names) + len(ordered)), dtype=np.int64)
+        for j, device in enumerate(spec.fixed.values()):
+            r = device.rect
+            box[:, j] = (r.left, r.right, r.bottom, r.top, device.start, device.end)
+        load = np.zeros(grid.width * grid.height, dtype=np.int64)
+        for cell, value in spec.base_load.items():
+            if grid.in_bounds(cell):
+                load[cell.x * grid.height + cell.y] = value
         placements: Dict[str, Placement] = {}
         overlaps: List[Pair] = []
-        d = spec.resolved_distance_limit()
         candidates_scanned = 0
 
         for task in ordered:
-            # Two candidate tiers: within the distance limit / anywhere.
-            best_key: Dict[bool, Optional[tuple]] = {True: None, False: None}
-            best: Dict[bool, Optional[Placement]] = {True: None, False: None}
-            best_overlaps: Dict[bool, List[Pair]] = {True: [], False: []}
-            for placement in spec.candidate_placements(task):
-                candidates_scanned += 1
-                rect = placement.rect
-                pair_overlaps: List[Pair] = []
-                feasible = True
-                for other_name, device in committed.items():
-                    if not (task.start < device.end and device.start < task.end):
-                        continue
-                    if not rect.overlaps(device.rect):
-                        continue
-                    pair = spec.storage_pair(task.name, other_name)
-                    if (
-                        pair is not None
-                        and spec.allow_storage_overlap
-                        and pair not in spec.forbidden_overlaps
-                    ):
-                        pair_overlaps.append(pair)
-                        continue
-                    feasible = False
-                    break
-                if not feasible:
+            cand = spec._candidates(task)
+            candidates_scanned += len(cand.placements)
+            left, right = cand.left[:, None], cand.right[:, None]
+            bottom, top = cand.bottom[:, None], cand.top[:, None]
+            n = len(names)
+            live = np.flatnonzero(
+                (task.start < box[5, :n]) & (box[4, :n] < task.end)
+            )
+            L, R, B, T = box[:4, live]
+            hit = (right > L) & (left < R) & (top > B) & (bottom < T)
+            pairs = [spec.storage_pair(task.name, names[j]) for j in live]
+            allowed = np.array([
+                p is not None and spec.allow_storage_overlap
+                and p not in spec.forbidden_overlaps for p in pairs
+            ], dtype=bool)
+            feasible = ~(hit & ~allowed).any(axis=1)
+            # Margin contact: flush placements against unrelated
+            # concurrent devices build walls that can cut routing off.
+            foreign = np.array(
+                [names[j] not in task.mix_parents for j in live], dtype=bool
+            )
+            dx = np.minimum(right + 1, R) - np.maximum(left - 1, L)
+            dy = np.minimum(top + 1, T) - np.maximum(bottom - 1, B)
+            contact = (foreign * np.maximum(dx, 0) * np.maximum(dy, 0)).sum(1)
+            # Committed parents: the distance tier and the boundary gap.
+            near = feasible.copy()
+            gap = np.zeros(len(cand.placements), dtype=np.int64)
+            for parent in task.mix_parents:
+                if parent not in names:
                     continue
-                near = d is None or self._near_parents(task, rect, committed, d)
-                ring = placement.pump_cells()
-                peak = max(base_load.get(c, 0) + task.pump_rate for c in ring)
-                reuse = sum(base_load.get(c, 0) for c in ring)
-                gap = self._parent_gap(task, rect, committed)
-                contact = self._foreign_contact(task, rect, committed)
-                key = (
-                    peak,
-                    reuse,
-                    len(pair_overlaps),
-                    gap,
-                    contact,
-                    rect.x,
-                    rect.y,
-                    placement.device_type.index,
-                )
-                if best_key[near] is None or key < best_key[near]:
-                    best_key[near] = key
-                    best[near] = placement
-                    best_overlaps[near] = pair_overlaps
-            tier = True if best[True] is not None else False
-            if best[tier] is None:
+                pl, pr, pb, pt = box[:4, names.index(parent)]
+                if d is not None:
+                    near &= (
+                        (cand.right > pl - d) & (cand.left < pr + d)
+                        & (cand.top > pb - d) & (cand.bottom < pt + d)
+                    )
+                gap += np.maximum.reduce([
+                    pl - cand.right, cand.left - pr, pb - cand.top,
+                    cand.bottom - pt, np.zeros_like(gap),
+                ])
+            ring, heads = load[cand.ring], cand.ring_ptr[:-1]
+            pool = np.flatnonzero(near)
+            if not pool.size:
+                pool = np.flatnonzero(feasible)
+            if not pool.size:
                 raise SynthesisError(
                     f"greedy mapper found no feasible placement for "
-                    f"{task.name} on the {spec.grid.width}x"
-                    f"{spec.grid.height} grid"
+                    f"{task.name} on the {grid.width}x{grid.height} grid"
                 )
-            chosen, chosen_overlaps = best[tier], best_overlaps[tier]
-            placements[task.name] = chosen
-            overlaps.extend(chosen_overlaps)
-            committed[task.name] = task.device(chosen)
-            for cell in chosen.pump_cells():
-                base_load[cell] = base_load.get(cell, 0) + task.pump_rate
+            # np.lexsort sorts by its last key first: peak, reuse,
+            # permitted overlaps, parent gap, contact, x, y, type.
+            keys = (
+                cand.type_index, cand.bottom, cand.left, contact, gap,
+                (hit & allowed).sum(axis=1),
+                np.add.reduceat(ring, heads),
+                np.maximum.reduceat(ring, heads),
+            )
+            best = pool[np.lexsort([key[pool] for key in keys])[0]]
+            chosen = placements[task.name] = cand.placements[best]
+            overlaps += [pairs[k] for k in np.flatnonzero(hit[best] & allowed)]
+            r = chosen.rect
+            box[:, n] = (r.left, r.right, r.bottom, r.top, task.start, task.end)
+            names.append(task.name)
+            ring_cells = cand.ring[cand.ring_ptr[best]:cand.ring_ptr[best + 1]]
+            np.add.at(load, ring_cells, task.pump_rate)
 
         wall = time.monotonic() - start_time
         if TELEMETRY.enabled:
@@ -1257,45 +1277,11 @@ class GreedyMapper(BaseMapper):
             TELEMETRY.add_time("mapper.greedy_solve", wall)
         return MappingResult(
             placements=placements,
-            objective=max(base_load.values(), default=0),
+            # Off-grid base loads never change; on-grid ones only grow.
+            objective=max([int(load.max()), *spec.base_load.values()]),
             mapper=self.name,
             used_overlaps=overlaps,
             wall_time=wall,
             optimal=False,
             stats={"candidates_scanned": float(candidates_scanned)},
         )
-
-    @staticmethod
-    def _near_parents(task, rect, committed, d: int) -> bool:
-        for parent in task.mix_parents:
-            device = committed.get(parent)
-            if device is not None and not rect.within_distance(device.rect, d):
-                return False
-        return True
-
-    @staticmethod
-    def _parent_gap(task, rect, committed) -> int:
-        """Total boundary gap to committed parents (soft proximity)."""
-        return sum(
-            rect.gap_distance(committed[parent].rect)
-            for parent in task.mix_parents
-            if parent in committed
-        )
-
-    @staticmethod
-    def _foreign_contact(task, rect, committed) -> int:
-        """Area shared between this device's margin and non-parent devices.
-
-        Flush placement against unrelated concurrent devices builds
-        solid walls that can disconnect the routing grid; penalizing the
-        contact keeps one-cell corridors open (the ILP avoids this
-        implicitly through its joint placement freedom).
-        """
-        margin = rect.expanded(1)
-        contact = 0
-        for name, device in committed.items():
-            if name in task.mix_parents:
-                continue
-            if task.start < device.end and device.start < task.end:
-                contact += margin.overlap_area(device.rect)
-        return contact

@@ -52,10 +52,10 @@ Pair = Tuple[str, str]
 @dataclass(frozen=True)
 class _Candidates:
     """One candidate set plus the read-only per-candidate arrays the
-    builder indexes into: rectangle boundaries, and the pump ring of
-    candidate ``j`` as cell keys ``ring[ring_ptr[j]:ring_ptr[j + 1]]``.
-    A cell key is ``x * grid.height + y``, which sorts like
-    :class:`Point`."""
+    builder and the greedy packer index into: rectangle boundaries,
+    device type indices, and the pump ring of candidate ``j`` as cell
+    keys ``ring[ring_ptr[j]:ring_ptr[j + 1]]``.  A cell key is
+    ``x * grid.height + y``, which sorts like :class:`Point`."""
 
     placements: Tuple[Placement, ...]
     #: ``s[x,y,k,`` prefixes of the selection-variable names.
@@ -64,6 +64,7 @@ class _Candidates:
     right: np.ndarray
     bottom: np.ndarray
     top: np.ndarray
+    type_index: np.ndarray
     ring_ptr: np.ndarray
     ring: np.ndarray
 
@@ -120,6 +121,7 @@ def _enumerate_candidates(
             _frozen([r.right for r in rects]),
             _frozen([r.bottom for r in rects]),
             _frozen([r.top for r in rects]),
+            _frozen([p.device_type.index for p in candidates]),
             _frozen(np.cumsum([0] + [len(ring) for ring in rings])),
             _frozen([k for ring in rings for k in ring]),
         )

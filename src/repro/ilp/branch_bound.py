@@ -174,8 +174,9 @@ def solve_branch_bound(
     either way — asserted in ``tests/ilp/test_warm_start.py``).  Only
     the stop signal below reads the clock, so a search that is not
     stopped explores the same tree on every run.
-    ``stats["simplex_iterations"]`` sums the pivots of every relaxation
-    solved, the root included.  ``_MAX_STORED_BASES`` bounds the
+    ``stats["simplex_iterations"]``, ``dual_pivots``, ``warm_starts``
+    and ``warm_fallbacks`` sum over every relaxation solved, the root
+    and the rounding dive included.  ``_MAX_STORED_BASES`` bounds the
     warm-start memory: once the open-node heap outgrows it, children
     are pushed without a basis snapshot and cold start on arrival.
 
@@ -278,6 +279,14 @@ def solve_branch_bound(
         "lp_cert_failed": 0,
         "lp_cert_skipped": 0,  # statuses with nothing to verify
     }
+
+    def count(relax) -> None:
+        """Add one ``CompiledModel.solve`` result's work to ``stats``."""
+        stats["simplex_iterations"] += relax.iterations
+        stats["dual_pivots"] += relax.dual_pivots
+        stats["warm_starts"] += relax.warm_started
+        stats["warm_fallbacks"] += relax.cold_fallback
+
     stats.update(presolve_stats)
     stats["dive_solves"] = 0
     stats["dive_found_incumbent"] = 0
@@ -296,7 +305,7 @@ def solve_branch_bound(
         relax0 = compiled.solve(
             root_bounds, max_iterations=lp_max_iterations, stop=stopped
         )
-        stats["simplex_iterations"] += relax0.iterations
+        count(relax0)
         if relax0.status is SolveStatus.OPTIMAL:
             root_basis, root_obj = relax0.basis, relax0.objective
 
@@ -359,7 +368,7 @@ def solve_branch_bound(
             relax0 = compiled.solve(
                 root_bounds, max_iterations=lp_max_iterations, stop=stopped
             )
-            stats["simplex_iterations"] += relax0.iterations
+            count(relax0)
             if relax0.status is SolveStatus.OPTIMAL:
                 root_obj = relax0.objective
         if root_obj is not None and best_obj <= root_obj + GAP_EPS:
@@ -379,7 +388,7 @@ def solve_branch_bound(
                 stop=stopped,
             )
             stats["dive_solves"] += 1
-            stats["simplex_iterations"] += relax.iterations
+            count(relax)
             if relax.status is not SolveStatus.OPTIMAL or relax.x is None:
                 break
             frac_j, frac_worst = -1, _INT_TOL
@@ -452,12 +461,7 @@ def solve_branch_bound(
                     )
             else:
                 stats["lp_cert_skipped"] += 1
-        stats["simplex_iterations"] += relax.iterations
-        stats["dual_pivots"] += relax.dual_pivots
-        if relax.warm_started:
-            stats["warm_starts"] += 1
-        if relax.cold_fallback:
-            stats["warm_fallbacks"] += 1
+        count(relax)
         stats["nodes_explored"] += 1
         if relax.status is SolveStatus.NO_SOLUTION:
             # The relaxation hit its iteration cap: this node's bound is

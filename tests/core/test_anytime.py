@@ -7,8 +7,9 @@ Six contracts pinned here:
 * **race invariants** — a monolithic race builds the mapping model
   exactly once, and every race counts exactly one winner;
 * **the windowed scope** — beyond ``ilp_task_limit`` a budgeted
-  mapping starts no exact solve, and without a packer start the
-  rolling-horizon mapper's answer is the result;
+  mapping starts no exact solve, without a packer start the
+  rolling-horizon mapper's answer is the result, and a search that
+  stops improving ends at the stall cap, well before the deadline;
 * **the race** — first feasible in milliseconds, incumbents certified
   before injection, the solver sees them, a heuristic win engages the
   ``anytime_heuristic`` rung, and the race never returns a worse
@@ -23,14 +24,17 @@ Six contracts pinned here:
 """
 
 import threading
+import time
 import warnings
 
 import pytest
 
+from repro.assay.scheduler import ListScheduler
 from repro.assays import get_case, schedule_for
+from repro.assays.fuzzer import fuzz_graph
 from repro.certify import certify_assignment
 from repro.core import ChipSimulator, ReliabilitySynthesizer, SynthesisConfig
-from repro.core.anytime import AnytimeMapper
+from repro.core.anytime import _LNS_STALL_LIMIT, AnytimeMapper
 from repro.core.lns import LargeNeighborhoodSearch
 from repro.core.mappers import (
     GreedyMapper,
@@ -203,6 +207,46 @@ class TestWindowedScope:
         assert result.objective == answers[0].objective
         assert result.stats["race_winner_heuristic"] == 0.0
         assert "first_feasible_seconds" not in result.stats
+
+
+    @pytest.mark.parametrize("seed, ops", [(1012, 13), (1008, 16)])
+    def test_stall_cap_ends_a_dry_search_before_the_deadline(
+        self, monkeypatch, seed, ops
+    ):
+        """Two serve-grid assays whose LNS never reaches the floor: the
+        stall cap, not the deadline, ends the search, so the design
+        does not depend on the budget or on how fast rounds run."""
+        runs = []
+        original = LargeNeighborhoodSearch.run
+
+        def recording_run(self, placements, **kwargs):
+            stats = original(self, placements, **kwargs)
+            runs.append(
+                (stats, kwargs["deadline"].expired, kwargs["should_stop"]())
+            )
+            return stats
+
+        monkeypatch.setattr(LargeNeighborhoodSearch, "run", recording_run)
+        designs = []
+        for budget in (2.0, 4.0):
+            graph = fuzz_graph(seed, ops)
+            schedule = ListScheduler().schedule(graph)
+            synthesizer = ReliabilitySynthesizer(
+                SynthesisConfig(grid=GridSpec(10, 10), time_budget=budget)
+            )
+            start = time.monotonic()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegradedResultWarning)
+                result = synthesizer.synthesize(graph, schedule)
+            assert time.monotonic() - start < 1.0  # half the smaller budget
+            designs.append(
+                {name: d.placement for name, d in result.devices.items()}
+            )
+        assert designs[0] == designs[1]
+        assert len(runs) == 2
+        for stats, expired, stopped in runs:
+            assert stats["lns_rounds"] >= _LNS_STALL_LIMIT
+            assert not expired and not stopped
 
 
 class TestRace:

@@ -84,9 +84,10 @@ class TestBranchBound:
 
 
 class TestIterationAccounting:
-    """``stats["simplex_iterations"]`` is the sum over every LP solved,
-    the root relaxation included (a 2-task mapping window's root takes
-    dozens of pivots)."""
+    """``stats["simplex_iterations"]``, ``dual_pivots``, ``warm_starts``
+    and ``warm_fallbacks`` are sums over every LP solved, the root
+    relaxation and the rounding dive included (a 2-task mapping
+    window's root takes dozens of pivots)."""
 
     @staticmethod
     def _spy(monkeypatch, stop_first_after=None, pool=None):
@@ -116,9 +117,20 @@ class TestIterationAccounting:
         sol = solve_branch_bound(case_model("fuzz:1:6", stride=3, hi=2))
         assert sol.status is SolveStatus.OPTIMAL
         assert results[0].iterations > 0  # the root relaxation
+        assert sol.stats["dive_solves"] > 0
         assert sol.stats["simplex_iterations"] == sum(
             r.iterations for r in results
         )
+        assert sol.stats["dual_pivots"] == sum(r.dual_pivots for r in results)
+        assert sol.stats["warm_starts"] == sum(
+            r.warm_started for r in results
+        )
+        assert sol.stats["warm_fallbacks"] == sum(
+            r.cold_fallback for r in results
+        )
+        # The dive's warm solves are among them.
+        dive = results[1:1 + int(sol.stats["dive_solves"])]
+        assert any(r.warm_started for r in dive)
 
     def test_search_stopped_in_its_root_lp(self, monkeypatch):
         pool = IncumbentPool()
