@@ -15,10 +15,6 @@ import pytest
 
 from bench_record import PROBES, probe_model
 from repro import obs
-from repro.assays import get_case, schedule_for
-from repro.core.mappers import WindowedILPMapper
-from repro.core.mapping_model import MappingSpec
-from repro.core.tasks import build_tasks
 from repro.ilp.solution import SolveStatus
 
 
@@ -64,31 +60,3 @@ def test_warm_start_halves_simplex_iterations(case_name, n_tasks, stride):
         f"{case_name}: warm {warm['bb.simplex_iterations']} vs "
         f"cold {cold['bb.simplex_iterations']} simplex iterations"
     )
-
-
-class TestParallelMapper:
-    """The opt-in process-pool refinement solver stays deterministic."""
-
-    @pytest.fixture(scope="class")
-    def pcr_spec(self):
-        case = get_case("pcr")
-        graph = case.graph()
-        schedule = schedule_for(case, case.policies(1)[0])
-        return MappingSpec(
-            grid=case.grid, tasks=build_tasks(graph, schedule)
-        )
-
-    def test_parallel_refinement_is_deterministic(self, pcr_spec):
-        first = WindowedILPMapper(parallel=True).map_tasks(pcr_spec)
-        second = WindowedILPMapper(parallel=True).map_tasks(pcr_spec)
-        assert first.placements == second.placements
-        assert first.objective == second.objective
-        assert first.stats["parallel_windows"] > 0
-        assert first.stats["parallel_fallback"] == 0
-
-    def test_parallel_matches_serial_quality(self, pcr_spec):
-        serial = WindowedILPMapper().map_tasks(pcr_spec)
-        parallel = WindowedILPMapper(parallel=True).map_tasks(pcr_spec)
-        # Speculative refinement may pick different (equally feasible)
-        # placements, but must not lose mapping quality.
-        assert parallel.objective <= serial.objective

@@ -359,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--mapper", default="auto",
         choices=MAPPER_CHOICES,
-        help="mapping engine (default: automatic selection; 'parallel' "
-        "is the windowed mapper with process-pool refinement; 'anytime' "
+        help="mapping engine (default: automatic selection; 'anytime' "
         "races LNS against the exact ILP, see DESIGN.md §13)",
     )
     p_prof.add_argument(

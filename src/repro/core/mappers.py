@@ -28,13 +28,12 @@ and mirrors it into :mod:`repro.obs` when telemetry is enabled.
 Failure handling follows the degradation ladder (DESIGN.md §9): a
 window whose ILP solve fails is split in half and re-solved exactly
 (``window_shrink``), then falls back to the greedy balancer for that
-window only (``greedy``, scope ``window``); a broken refinement process
-pool re-solves only the failed windows serially (``pool_serial``); an
-expired mapping deadline finishes the remaining tasks greedily and
-skips refinement (``greedy``, scope ``deadline``).  Every mapper accepts an
-optional :class:`repro.resilience.Deadline` (propagated into solver
-time limits) and :class:`repro.resilience.DegradationLadder` (which
-records the rungs taken).
+window only (``greedy``, scope ``window``); an expired mapping deadline
+finishes the remaining tasks greedily and skips refinement (``greedy``,
+scope ``deadline``).  Every mapper accepts an optional
+:class:`repro.resilience.Deadline` (propagated into solver time limits)
+and :class:`repro.resilience.DegradationLadder` (which records the
+rungs taken).
 """
 
 from __future__ import annotations
@@ -51,23 +50,14 @@ from repro.architecture.device import DynamicDevice, Placement
 from repro.ilp.solution import SolveStatus
 from repro.obs import TELEMETRY
 from repro.resilience import Deadline, DegradationLadder
-from repro.resilience.faults import FAULTS
 from repro.core.mapping_model import MappingModelBuilder, MappingSpec, Pair
 from repro.core.tasks import MappingTask
-
-#: Per-future wait cap in the parallel refinement path when no window
-#: time limit bounds the worker (a hung worker must never block forever).
-_DEFAULT_FUTURE_TIMEOUT = 300.0
-
-#: Sentinel marking a speculative window whose future failed (pool
-#: crash / timeout): the apply loop re-solves exactly these serially.
-_SERIAL_RETRY = object()
 
 
 def _solve_spec_job(payload):
     """Supervised-worker entry point: one exact solve of a full spec.
 
-    Top-level and picklable, like :func:`_solve_window_job`.  The
+    Top-level and picklable, so a worker process can import it.  The
     worker's mapper gets no journal and no supervisor (no recursive
     supervision, no journal writes from children — the parent records
     the result it receives); deterministic failures propagate back as
@@ -77,27 +67,6 @@ def _solve_spec_job(payload):
     return ILPMapper(
         backend=backend, time_limit=limit, **solver_kwargs
     ).map_tasks(spec)
-
-
-def _solve_window_job(payload):
-    """Process-pool entry point: solve one refinement window.
-
-    Runs in a worker process, so it must be a picklable top-level
-    function.  Returns the window's :class:`MappingResult`, or ``None``
-    when the window is infeasible even for the greedy fallback (the
-    caller keeps the old placement — refinement is opportunistic).
-    Deadlines are not shipped across the process boundary (monotonic
-    clocks differ); the parent bakes its remaining budget into
-    ``limit`` instead.
-    """
-    spec, window, ordered, placements, discouraged, backend, limit = payload
-    mapper = WindowedILPMapper(backend=backend, time_limit_per_window=limit)
-    try:
-        return mapper._solve_window(
-            spec, window, ordered, placements, discouraged=discouraged
-        )
-    except SynthesisError:
-        return None
 
 
 @dataclass
@@ -411,19 +380,6 @@ class WindowedILPMapper(BaseMapper):
     committed prefix can paint the ILP into a corner) the window falls
     back to the greedy balancer, which ignores no constraint but
     searches placement-by-placement.
-
-    With ``parallel=True`` the refinement passes solve their windows
-    speculatively in a process pool: every window of a pass is solved
-    against the pass-start placement snapshot, then the results are
-    applied one by one in the usual deterministic window order, each
-    candidate re-validated against the *live* placements (a candidate
-    that now overlaps a device an earlier window moved is discarded as
-    stale, keeping the old placement).  The rolling pass and the
-    targeted rounds stay serial — each step there feeds the next.  Any
-    pool failure falls back to the serial path; results remain
-    deterministic for a given configuration, though ``parallel=True``
-    may accept different (equally valid) refinements than serial mode
-    because speculative solves see the snapshot, not the evolving state.
     """
 
     name = "windowed_ilp"
@@ -434,8 +390,6 @@ class WindowedILPMapper(BaseMapper):
         backend: str = "scipy",
         time_limit_per_window: Optional[float] = 20.0,
         refine_passes: int = 2,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
     ) -> None:
         if window_size < 1:
             raise SynthesisError("window size must be at least 1")
@@ -443,8 +397,6 @@ class WindowedILPMapper(BaseMapper):
         self.backend = backend
         self.time_limit_per_window = time_limit_per_window
         self.refine_passes = refine_passes
-        self.parallel = parallel
-        self.max_workers = max_workers
 
     def map_tasks(
         self,
@@ -467,24 +419,10 @@ class WindowedILPMapper(BaseMapper):
             "refine_infeasible": 0,
             "targeted_rounds": 0,
             "targeted_accepted": 0,
-            "parallel_windows": 0,
-            "parallel_stale": 0,
-            "parallel_fallback": 0,
-            "pool_serial_windows": 0,
-            "pool_recreated": 0,
-            "pool_failures": 0,
         }
-        executor = None
-        if self.parallel:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                executor = ProcessPoolExecutor(max_workers=self.max_workers)
-            except (ImportError, OSError, ValueError):
-                stats["parallel_fallback"] = 1
         try:
             result = self._rolling_and_refine(
-                spec, stats, executor, deadline=deadline, ladder=ladder
+                spec, stats, deadline=deadline, ladder=ladder
             )
         except SynthesisError as error:
             # A window dead-ended (the committed prefix saturated the
@@ -497,11 +435,6 @@ class WindowedILPMapper(BaseMapper):
                     "mapping", DegradationLadder.GREEDY, f"whole: {error}"
                 )
             result = GreedyMapper().map_tasks(spec)
-        finally:
-            if executor is not None:
-                # cancel_futures: a hung or crashed worker must not
-                # block shutdown forever.
-                executor.shutdown(cancel_futures=True)
         result.wall_time = time.monotonic() - start_time
         result.stats.update(stats)
         if TELEMETRY.enabled:
@@ -520,17 +453,7 @@ class WindowedILPMapper(BaseMapper):
                 "mapper.targeted_rounds", int(stats["targeted_rounds"])
             )
             TELEMETRY.count(
-                "mapper.parallel_windows", int(stats["parallel_windows"])
-            )
-            TELEMETRY.count(
-                "mapper.parallel_stale", int(stats["parallel_stale"])
-            )
-            TELEMETRY.count(
                 "mapper.window_shrinks", int(stats["window_shrinks"])
-            )
-            TELEMETRY.count(
-                "mapper.pool_serial_windows",
-                int(stats["pool_serial_windows"]),
             )
             TELEMETRY.add_time(
                 "mapper.window_solve",
@@ -543,7 +466,6 @@ class WindowedILPMapper(BaseMapper):
         self,
         spec: MappingSpec,
         stats: Dict[str, float],
-        executor=None,
         deadline: Optional[Deadline] = None,
         ladder: Optional[DegradationLadder] = None,
     ) -> MappingResult:
@@ -624,153 +546,23 @@ class WindowedILPMapper(BaseMapper):
                 ledger.remove(task, new[task.name])
             restore(saved, window)
 
-        # Pool-failure recovery state: one recreate per map_tasks call,
-        # then serial for good.  The recreated pool is owned here (the
-        # caller's ``finally`` only knows the original), hence the
-        # ``try``/``finally`` around the refinement loops.
-        pool_failures = 0
-        pool_recreates_left = 1
-        recreated_pool = None
-
-        try:
-            # Refinement: coordinate descent over windows, now with *all*
-            # other placements fixed.  Each window re-solve can only keep or
-            # lower the maximum load (its previous assignment stays
-            # feasible); a window whose re-solve fails keeps its old
-            # placement (refinement is opportunistic).  Passes alternate the
-            # window offset so wear stacked across an unlucky rolling-pass
-            # window boundary is also re-optimized jointly.
-            for pass_index in range(self.refine_passes):
-                if deadline is not None and deadline.expired:
-                    break  # refinement is optional polish; the roll stands
-                offset = (self.window_size // 2) if pass_index % 2 == 0 else 0
-                windows = self._refine_windows(ordered, offset)
-                speculative: Optional[List] = None
-                if executor is not None and len(windows) > 1:
-                    speculative, pool_exc = self._speculate(
-                        executor, spec, windows, ordered, placements,
-                        ledger, stats, deadline=deadline,
-                    )
-                    if pool_exc is not None:
-                        # Pool died (worker crash, hung future, pickling
-                        # trouble): the windows whose futures completed keep
-                        # their speculative results and only the failed ones
-                        # re-solve serially.  The pool itself is recreated
-                        # once (a single crashed worker should not cost the
-                        # rest of the run its parallelism); a second failure
-                        # degrades the remaining passes to serial for good.
-                        pool_failures += 1
-                        stats["pool_failures"] = pool_failures
-                        crash = WorkerCrashError(
-                            f"refinement pool failed on pass {pass_index}: "
-                            f"{pool_exc}",
-                            attempts=pool_failures,
-                            outcomes=("pool",) * pool_failures,
-                        )
-                        executor.shutdown(cancel_futures=True)
-                        executor = None
-                        if pool_recreates_left > 0:
-                            pool_recreates_left -= 1
-                            try:
-                                from concurrent.futures import (
-                                    ProcessPoolExecutor,
-                                )
-
-                                executor = recreated_pool = ProcessPoolExecutor(
-                                    max_workers=self.max_workers
-                                )
-                            except (ImportError, OSError, ValueError):
-                                executor = None
-                        if executor is not None:
-                            stats["pool_recreated"] = 1
-                            if TELEMETRY.enabled:
-                                TELEMETRY.count("mapper.pool_recreated")
-                            if ladder is not None:
-                                ladder.engage(
-                                    "pool",
-                                    DegradationLadder.WORKER_RETRY,
-                                    f"{crash}; pool recreated",
-                                )
-                        else:
-                            stats["parallel_fallback"] = 1
-                            if ladder is not None:
-                                ladder.engage(
-                                    "pool",
-                                    DegradationLadder.POOL_SERIAL,
-                                    f"{crash}; re-solving failed windows "
-                                    "serially",
-                                )
-                for index, window in enumerate(windows):
-                    if deadline is not None and deadline.expired:
-                        break
-                    stats["refine_probes"] += 1
-                    discouraged = ledger.peak_cells()
-                    previous_peak = ledger.peak()
-                    saved = pop_window(window)
-                    saved_overlaps = list(overlaps)
-                    serial_retry = (
-                        speculative is None
-                        or speculative[index] is _SERIAL_RETRY
-                    )
-                    if serial_retry and speculative is not None:
-                        stats["pool_serial_windows"] += 1
-                    if not serial_retry:
-                        result = speculative[index]
-                        if result is None:
-                            stats["refine_infeasible"] += 1
-                            restore(saved, window)
-                            continue
-                        if not self._applies_cleanly(
-                            spec, window, ordered, placements, result
-                        ):
-                            # An earlier window of this pass moved a device
-                            # the speculative solve assumed fixed.
-                            stats["parallel_stale"] += 1
-                            restore(saved, window)
-                            continue
-                    else:
-                        try:
-                            result = self._solve_window(
-                                spec, window, ordered, placements,
-                                discouraged=discouraged, stats=stats,
-                                deadline=deadline, ladder=ladder,
-                            )
-                        except SynthesisError:
-                            stats["refine_infeasible"] += 1
-                            restore(saved, window)
-                            continue
-                    merge_overlaps(result)
-                    new = commit(result, window)
-                    if ledger.peak() > previous_peak:
-                        stats["refine_rejected"] += 1
-                        roll_back(new, saved, window)  # keep the better one
-                        overlaps = saved_overlaps
-                    else:
-                        stats["refine_accepted"] += 1
-
-            # Targeted refinement: repeatedly re-solve the tasks that pump
-            # the worst-loaded valve *together*.  Wear stacking is a
-            # same-cell phenomenon, so this attacks exactly the group the
-            # fixed window partitions may have split.  Progress is measured
-            # lexicographically — (max load, number of valves at the max) —
-            # so plateau moves that thin out the set of critical valves
-            # still count as improvements.
-            for _ in range(2 * len(ordered)):
+        # Refinement: coordinate descent over windows, now with *all*
+        # other placements fixed.  Each window re-solve can only keep or
+        # lower the maximum load (its previous assignment stays
+        # feasible); a window whose re-solve fails keeps its old
+        # placement (refinement is opportunistic).  Passes alternate the
+        # window offset so wear stacked across an unlucky rolling-pass
+        # window boundary is also re-optimized jointly.
+        for pass_index in range(self.refine_passes):
+            if deadline is not None and deadline.expired:
+                break  # refinement is optional polish; the roll stands
+            offset = (self.window_size // 2) if pass_index % 2 == 0 else 0
+            for window in self._refine_windows(ordered, offset):
                 if deadline is not None and deadline.expired:
                     break
-                measure = ledger.measure()
+                stats["refine_probes"] += 1
                 discouraged = ledger.peak_cells()
-                worst_cell = min(discouraged, default=None)
-                culprits = [
-                    task
-                    for task in ordered
-                    if worst_cell is not None
-                    and worst_cell in placements[task.name].pump_cells()
-                ]
-                if len(culprits) < 2:
-                    break
-                stats["targeted_rounds"] += 1
-                window = culprits[: self.window_size]
+                previous_peak = ledger.peak()
                 saved = pop_window(window)
                 saved_overlaps = list(overlaps)
                 try:
@@ -780,26 +572,67 @@ class WindowedILPMapper(BaseMapper):
                         deadline=deadline, ladder=ladder,
                     )
                 except SynthesisError:
+                    stats["refine_infeasible"] += 1
                     restore(saved, window)
-                    break
+                    continue
                 merge_overlaps(result)
                 new = commit(result, window)
-                if ledger.measure() >= measure:
-                    roll_back(new, saved, window)  # no improvement: stop
+                if ledger.peak() > previous_peak:
+                    stats["refine_rejected"] += 1
+                    roll_back(new, saved, window)  # keep the better one
                     overlaps = saved_overlaps
-                    break
-                stats["targeted_accepted"] += 1
+                else:
+                    stats["refine_accepted"] += 1
 
-            return MappingResult(
-                placements=placements,
-                objective=ledger.peak(),
-                mapper=self.name,
-                used_overlaps=sorted(set(overlaps)),
-                optimal=all_optimal and len(ordered) <= self.window_size,
-            )
-        finally:
-            if recreated_pool is not None:
-                recreated_pool.shutdown(cancel_futures=True)
+        # Targeted refinement: repeatedly re-solve the tasks that pump
+        # the worst-loaded valve *together*.  Wear stacking is a
+        # same-cell phenomenon, so this attacks exactly the group the
+        # fixed window partitions may have split.  Progress is measured
+        # lexicographically — (max load, number of valves at the max) —
+        # so plateau moves that thin out the set of critical valves
+        # still count as improvements.
+        for _ in range(2 * len(ordered)):
+            if deadline is not None and deadline.expired:
+                break
+            measure = ledger.measure()
+            discouraged = ledger.peak_cells()
+            worst_cell = min(discouraged, default=None)
+            culprits = [
+                task
+                for task in ordered
+                if worst_cell is not None
+                and worst_cell in placements[task.name].pump_cells()
+            ]
+            if len(culprits) < 2:
+                break
+            stats["targeted_rounds"] += 1
+            window = culprits[: self.window_size]
+            saved = pop_window(window)
+            saved_overlaps = list(overlaps)
+            try:
+                result = self._solve_window(
+                    spec, window, ordered, placements,
+                    discouraged=discouraged, stats=stats,
+                    deadline=deadline, ladder=ladder,
+                )
+            except SynthesisError:
+                restore(saved, window)
+                break
+            merge_overlaps(result)
+            new = commit(result, window)
+            if ledger.measure() >= measure:
+                roll_back(new, saved, window)  # no improvement: stop
+                overlaps = saved_overlaps
+                break
+            stats["targeted_accepted"] += 1
+
+        return MappingResult(
+            placements=placements,
+            objective=ledger.peak(),
+            mapper=self.name,
+            used_overlaps=sorted(set(overlaps)),
+            optimal=all_optimal and len(ordered) <= self.window_size,
+        )
 
     # -- reference implementations ---------------------------------------
     #
@@ -870,8 +703,6 @@ class WindowedILPMapper(BaseMapper):
             if worst_cell in placements[task.name].pump_cells()
         ]
 
-    # -- parallel refinement ----------------------------------------------
-
     def _refine_windows(
         self, ordered: List[MappingTask], offset: int
     ) -> List[List[MappingTask]]:
@@ -889,139 +720,11 @@ class WindowedILPMapper(BaseMapper):
                 windows.append(window)
         return windows
 
-    def _speculate(
-        self,
-        executor,
-        spec: MappingSpec,
-        windows: List[List[MappingTask]],
-        ordered: List[MappingTask],
-        placements: Dict[str, Placement],
-        ledger: LoadLedger,
-        stats: Dict[str, float],
-        deadline: Optional[Deadline] = None,
-    ) -> Tuple[List, bool]:
-        """Solve every window of a pass in the pool, against a snapshot.
-
-        All solves see the same pass-start placements and discouraged
-        cells; ``_solve_window`` already excludes each window's own
-        tasks from the fixed set, so the snapshot can be passed whole.
-
-        Returns ``(results, pool_exc)`` — ``pool_exc`` is None while the
-        pool is healthy, else the first failure (``BrokenProcessPool``,
-        a timed-out future, a submit error).  Recovery is
-        window-granular: each future is waited on with its own timeout,
-        and the first pool failure marks that window — and any still
-        pending after it — as :data:`_SERIAL_RETRY` while the windows
-        already gathered keep their results.  The caller re-solves only
-        the marked windows serially.
-        """
-        from concurrent.futures import TimeoutError as FutureTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        start = time.perf_counter()
-        snapshot = dict(placements)
-        discouraged = ledger.peak_cells()
-        limit = self.time_limit_per_window
-        if deadline is not None:
-            limit = deadline.limit(limit)
-        # A worker may legitimately need longer than the ILP limit (the
-        # greedy fallback runs after it), but a hung worker must not
-        # stall the pass: wait a bounded multiple of the solve limit.
-        wait = (
-            _DEFAULT_FUTURE_TIMEOUT
-            if limit is None
-            else max(2.0 * limit + 10.0, 15.0)
-        )
-        results: List = []
-        pool_exc: Optional[BaseException] = None
-        futures = []
-        try:
-            futures = [
-                executor.submit(
-                    _solve_window_job,
-                    (
-                        spec, window, ordered, snapshot, discouraged,
-                        self.backend, limit,
-                    ),
-                )
-                for window in windows
-            ]
-        except (BrokenProcessPool, OSError, RuntimeError) as exc:
-            pool_exc = exc
-        for future in futures:
-            if pool_exc is not None:
-                future.cancel()
-                results.append(_SERIAL_RETRY)
-                continue
-            try:
-                if FAULTS.armed and FAULTS.should_fire("mapper.pool"):
-                    raise BrokenProcessPool(
-                        "injected process-pool failure (chaos test)"
-                    )
-                results.append(future.result(timeout=wait))
-            except (BrokenProcessPool, FutureTimeout, OSError,
-                    RuntimeError) as exc:
-                pool_exc = exc
-                results.append(_SERIAL_RETRY)
-        while len(results) < len(windows):
-            results.append(_SERIAL_RETRY)
-        solved = [r for r in results if r is not _SERIAL_RETRY]
-        stats["windows_solved"] += len(solved)
-        stats["parallel_windows"] += len(solved)
-        stats["greedy_windows"] += sum(
-            1
-            for r in solved
-            if r is not None and r.mapper == GreedyMapper.name
-        )
-        stats["window_seconds"] += time.perf_counter() - start
-        return results, pool_exc
-
-    @staticmethod
-    def _applies_cleanly(
-        spec: MappingSpec,
-        window: List[MappingTask],
-        ordered: List[MappingTask],
-        placements: Dict[str, Placement],
-        result: MappingResult,
-    ) -> bool:
-        """Is a speculative window result still valid against ``placements``?
-
-        Re-checks the hard non-overlap constraint against the *live*
-        placements of every task outside the window (window-internal and
-        fixed-device relations were solved jointly and cannot go stale).
-        Parent-proximity is soft here, as in the greedy mapper: a parent
-        moved by an earlier window only lengthens a route.
-        """
-        window_names = {t.name for t in window}
-        others = [
-            t
-            for t in ordered
-            if t.name not in window_names and t.name in placements
-        ]
-        for task in window:
-            rect = result.placements[task.name].rect
-            for other in others:
-                if not (task.start < other.end and other.start < task.end):
-                    continue
-                if not rect.overlaps(placements[other.name].rect):
-                    continue
-                pair = spec.storage_pair(task.name, other.name)
-                if (
-                    pair is not None
-                    and spec.allow_storage_overlap
-                    and pair not in spec.forbidden_overlaps
-                ):
-                    continue
-                return False
-        return True
-
     def _ilp(self, limit: Optional[float]) -> ILPMapper:
         """An inner exact mapper carrying this mapper's crash-safety wiring.
 
-        The journal and supervisor ride along so every serial window
-        solve is checkpointed/supervised; pool workers build their own
-        ``WindowedILPMapper`` (see :func:`_solve_window_job`) and get
-        neither.
+        The journal and supervisor ride along so every window solve is
+        checkpointed/supervised.
         """
         mapper = ILPMapper(backend=self.backend, time_limit=limit)
         mapper.journal = self.journal

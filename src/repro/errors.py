@@ -8,7 +8,7 @@ avoid import cycles between substrate packages.
 Failure-handling contract (see DESIGN.md §9 for the full ladder):
 
 * A *recoverable* stage failure — a window ILP that times out or turns
-  infeasible, a broken refinement process pool, a routing attempt that
+  infeasible, a lost supervised worker, a routing attempt that
   exhausts its rip-up budget — is **not** allowed to escape as an
   exception from ``ReliabilitySynthesizer.synthesize``.  The stage
   steps down its degradation ladder (shrink the window, go greedy,
@@ -148,12 +148,11 @@ class BindingError(ReproError):
 
 
 class WorkerCrashError(SynthesisError):
-    """A supervised or pooled worker process died instead of answering.
+    """A supervised worker process died instead of answering.
 
     Raised by :class:`repro.resilience.supervisor.WorkerSupervisor` when
     every watched attempt was lost to a crash, a missed heartbeat, an
-    RSS-budget kill or a deadline kill, and recorded by the process-pool
-    recovery path in :mod:`repro.core.mappers`.  Unlike the bare
+    RSS-budget kill or a deadline kill.  Unlike the bare
     ``RuntimeError``/``OSError`` it replaces, it carries the forensic
     record the ladder and the tests need: how many attempts were made,
     how each one ended, and the backoff schedule walked between them.

@@ -37,9 +37,7 @@ from repro.core.mappers import BaseMapper, GreedyMapper, ILPMapper, WindowedILPM
 from repro.errors import ReproError
 
 #: Mapper names accepted by the CLI; None = automatic selection.
-MAPPER_CHOICES = (
-    "auto", "greedy", "ilp", "windowed_ilp", "parallel", "anytime"
-)
+MAPPER_CHOICES = ("auto", "greedy", "ilp", "windowed_ilp", "anytime")
 
 #: Budget for the ``--race`` probe when the profile run has none.
 DEFAULT_RACE_BUDGET = 1.0
@@ -54,9 +52,6 @@ def _make_mapper(name: str) -> Optional[BaseMapper]:
         return ILPMapper()
     if name == "windowed_ilp":
         return WindowedILPMapper()
-    if name == "parallel":
-        # The windowed mapper with process-pool refinement solving.
-        return WindowedILPMapper(parallel=True)
     if name == "anytime":
         # The race tier (DESIGN.md §13); pair with --time-budget, or
         # it degenerates to the exact lane plus a bounded LNS warm-up.

@@ -32,7 +32,6 @@ from repro.ilp.model import Model, quicksum
 from repro.ilp.compiled import Basis, CompiledModel
 from repro.ilp.solution import Solution, SolveStatus
 from repro.ilp.solver import solve, available_backends
-from repro.ilp.lp_format import to_lp_string, write_lp
 
 __all__ = [
     "Var",
@@ -48,6 +47,4 @@ __all__ = [
     "SolveStatus",
     "solve",
     "available_backends",
-    "to_lp_string",
-    "write_lp",
 ]

@@ -129,14 +129,6 @@ class IncumbentPool:
         with self._lock:
             return self._objective
 
-    @property
-    def best_source(self) -> str:
-        with self._lock:
-            return self._source
-
-    def elapsed(self) -> float:
-        return self._clock() - self._t0
-
     def timeline_snapshot(self) -> List[Dict[str, float]]:
         with self._lock:
             return [dict(event) for event in self.timeline]

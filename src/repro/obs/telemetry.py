@@ -20,13 +20,13 @@ Counter names are dotted paths, one prefix per subsystem:
   (``basis_reuse_hits``, ``warm_starts``, ``warm_fallbacks``,
   ``dual_pivots``) of the compiled-model engine
   (``repro.ilp.branch_bound``)
-* ``mapper.*`` — window solves, greedy fallbacks, refinement
-  accept/reject tallies, process-pool refinement activity
-  (``parallel_windows``, ``parallel_stale``) (``repro.core.mappers``)
+* ``mapper.*`` — window solves, window shrinks, greedy fallbacks,
+  refinement accept/reject tallies and targeted rounds
+  (``repro.core.mappers``)
 * ``routing.*`` — Dijkstra heap pops, rip-up & re-route events
   (``repro.routing``)
 * ``resilience.*`` — one counter per degradation-ladder rung engaged
-  (``resilience.window_shrink``, ``resilience.pool_serial``, … — see
+  (``resilience.window_shrink``, ``resilience.greedy``, … — see
   DESIGN.md §9); a clean run records none (``repro.resilience``)
 * ``certify.*`` — certification-layer activity (DESIGN.md §10): LP/MILP
   certificates checked and failed (``certify.milp``,

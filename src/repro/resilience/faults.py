@@ -5,7 +5,7 @@ that every rung of the degradation ladder actually engages when its
 failure mode occurs.  Real timeouts and worker crashes are slow and
 flaky to provoke, so the hot paths carry *injection sites*: named
 points where the process-wide :data:`FAULTS` injector may force the
-site's native failure (a solver limit, a ``BrokenProcessPool``, a
+site's native failure (a solver limit, a worker crash, a
 ``RoutingError``).  The sites:
 
 ==================  ====================================================
@@ -16,8 +16,6 @@ site                effect when fired
                     FEASIBLE, else NO_SOLUTION)
 ``scipy.milp``      the HiGHS backend raises :class:`SolverError`
                     before calling scipy
-``mapper.pool``     gathering a speculative window future raises
-                    :class:`BrokenProcessPool`
 ``routing.route``   routing one transport event raises
                     :class:`RoutingError`
 ``certify.audit``   the design auditor receives a tampered copy of the
@@ -62,8 +60,8 @@ Design constraints (mirrored by ``tests/resilience/test_faults.py``):
   test cannot leak faults into the next one.
 
 Worker processes get their own (disarmed) module singleton, so faults
-never fire inside the process pool — ``mapper.pool`` fires in the
-parent while gathering results, which is where the ladder lives.
+never fire inside a supervised worker — the ``worker.*`` sites fire in
+the supervising parent, which is where the ladder lives.
 """
 
 from __future__ import annotations

@@ -24,14 +24,10 @@ rung                      meaning
                           or ``deadline`` (the mapping-stage deadline
                           expired mid-roll; the remaining tasks were
                           placed greedily and refinement was skipped)
-``pool_serial``           the refinement process pool broke (worker
-                          crash, per-future timeout); the windows whose
-                          futures failed were re-solved serially, the
-                          completed ones were kept
-``worker_retry``          a supervised worker was lost (crash, missed
-                          heartbeat, RSS kill) or the broken process
-                          pool was recreated; the work was retried
-                          after a seeded exponential backoff
+``worker_retry``          a supervised worker (crash, missed
+                          heartbeat, RSS kill) or a serve-tier solve
+                          was lost; the work was retried after a
+                          seeded exponential backoff
 ``worker_serial``         supervised retries were exhausted; the solve
                           re-ran in-process (unsupervised) instead
 ``checkpoint_resume``     certified window solutions were replayed from
@@ -147,7 +143,6 @@ class DegradationLadder:
 
     WINDOW_SHRINK = "window_shrink"
     GREEDY = "greedy"
-    POOL_SERIAL = "pool_serial"
     WORKER_RETRY = "worker_retry"
     WORKER_SERIAL = "worker_serial"
     CHECKPOINT_RESUME = "checkpoint_resume"
@@ -161,7 +156,6 @@ class DegradationLadder:
     RUNGS = (
         WINDOW_SHRINK,
         GREEDY,
-        POOL_SERIAL,
         WORKER_RETRY,
         WORKER_SERIAL,
         CHECKPOINT_RESUME,

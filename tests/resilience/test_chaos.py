@@ -115,62 +115,6 @@ class TestMonolithicRungs:
         assert_simulator_valid(result)
 
 
-class TestPoolRung:
-    def test_pool_crash_recreates_pool_once(self):
-        """A single broken pool future → ``worker_retry``: the failed
-        windows re-solve serially and the pool is recreated for the
-        remaining passes (not degraded to serial for good)."""
-        with FAULTS.inject({"mapper.pool": 1}):
-            result = synthesize_tiny(
-                mapper=WindowedILPMapper(
-                    window_size=2, parallel=True, max_workers=2
-                )
-            )
-        assert FAULTS.fired("mapper.pool") == 1
-        report = result.resilience
-        assert report.count(DegradationLadder.WORKER_RETRY) == 1
-        assert report.count(DegradationLadder.POOL_SERIAL) == 0
-        assert_simulator_valid(result)
-
-    def test_second_pool_crash_degrades_to_serial(self):
-        """The recreate budget is one: a second pool failure engages
-        ``pool_serial`` and the run finishes serially."""
-        graph, schedule = build_tiny_assay()
-        mapper = WindowedILPMapper(
-            window_size=2, parallel=True, max_workers=2, refine_passes=3
-        )
-        with FAULTS.inject({"mapper.pool": 2}):
-            config = SynthesisConfig(grid=GridSpec(8, 8), mapper=mapper)
-            with pytest.warns(DegradedResultWarning):
-                result = ReliabilitySynthesizer(config).synthesize(
-                    graph, schedule
-                )
-        assert FAULTS.fired("mapper.pool") == 2
-        report = result.resilience
-        assert report.count(DegradationLadder.WORKER_RETRY) == 1
-        assert report.count(DegradationLadder.POOL_SERIAL) == 1
-        # The forensic detail carries the structured WorkerCrashError.
-        serial = [
-            e for e in report.events
-            if e.rung == DegradationLadder.POOL_SERIAL
-        ]
-        assert "attempts=2" in serial[0].detail
-
-    def test_pool_crash_marks_serial_windows_in_stats(self):
-        graph, schedule = build_tiny_assay()
-        mapper = WindowedILPMapper(window_size=2, parallel=True, max_workers=2)
-        with FAULTS.inject({"mapper.pool": 1}):
-            config = SynthesisConfig(grid=GridSpec(8, 8), mapper=mapper)
-            with pytest.warns(DegradedResultWarning):
-                result = ReliabilitySynthesizer(config).synthesize(
-                    graph, schedule
-                )
-        # The windows whose futures failed were re-solved serially and
-        # the failure was counted.
-        assert result.metrics is not None
-        assert result.resilience.count(DegradationLadder.WORKER_RETRY) == 1
-
-
 class TestRoutingRungs:
     def test_routing_fault_relaxes_convenience(self):
         """Routing fails on every reserved-corridor attempt →

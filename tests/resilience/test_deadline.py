@@ -133,12 +133,12 @@ class TestResilienceReport:
         TELEMETRY.enabled = True
         try:
             report = ResilienceReport()
-            report.record("pool", "pool_serial")
+            report.record("mapping", "window_shrink")
             counters = TELEMETRY.snapshot()["counters"]
         finally:
             TELEMETRY.enabled = False
             TELEMETRY.reset()
-        assert counters["resilience.pool_serial"] == 1
+        assert counters["resilience.window_shrink"] == 1
 
 
 class TestDegradationLadder:
@@ -159,7 +159,6 @@ class TestDegradationLadder:
         assert set(DegradationLadder.RUNGS) == {
             "window_shrink",
             "greedy",
-            "pool_serial",
             "worker_retry",
             "worker_serial",
             "checkpoint_resume",
@@ -169,3 +168,33 @@ class TestDegradationLadder:
             "serve_shed",
             "serve_breaker",
         }
+
+    def test_every_rung_is_documented_and_engaged(self):
+        """The ``report.py`` docstring table lists exactly the rungs, and
+        each rung is engaged as ``DegradationLadder.<NAME>`` outside
+        ``report.py``: a rung whose code goes but whose row stays fails,
+        and so does a rung engaged in code with no row."""
+        import pathlib
+        import re
+
+        import repro
+        import repro.resilience.report as report_module
+
+        table = report_module.__doc__.split("\n=====")[1:3]
+        assert len(table) == 2, "rung table not found in the docstring"
+        documented = set(re.findall(r"^``(\w+)``", table[1], re.M))
+        src = pathlib.Path(repro.__file__).parent
+        names = {
+            name
+            for path in src.rglob("*.py")
+            if path != pathlib.Path(report_module.__file__)
+            for name in re.findall(
+                r"DegradationLadder\.([A-Z_]+)\b", path.read_text()
+            )
+        }
+        engaged = {
+            getattr(DegradationLadder, name) for name in names - {"RUNGS"}
+        }
+        assert len(DegradationLadder.RUNGS) == 10
+        assert documented == set(DegradationLadder.RUNGS)
+        assert engaged == set(DegradationLadder.RUNGS)
