@@ -450,7 +450,7 @@ def _run_lanes(
     """
     slot: Dict[str, object] = {}
     done = threading.Event()
-    lane_ladder = DegradationLadder(deadline=deadline)
+    lane_ladder = DegradationLadder()
 
     def exact_lane() -> None:
         try:

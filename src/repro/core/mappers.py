@@ -26,11 +26,11 @@ Every mapper fills :attr:`MappingResult.stats` with solve telemetry
 and mirrors it into :mod:`repro.obs` when telemetry is enabled.
 
 Failure handling follows the degradation ladder (DESIGN.md §9): a
-window whose ILP solve fails is split in half and re-solved exactly
-(``window_shrink``), then falls back to the greedy balancer for that
+window whose ILP solve fails falls back to the greedy balancer for that
 window only (``greedy``, scope ``window``); an expired mapping deadline
 finishes the remaining tasks greedily and skips refinement (``greedy``,
-scope ``deadline``).  Every mapper accepts an optional
+scope ``deadline``); a window even greedy cannot place raises
+:class:`SynthesisError`.  Every mapper accepts an optional
 :class:`repro.resilience.Deadline` (propagated into solver time limits)
 and :class:`repro.resilience.DegradationLadder` (which records the
 rungs taken).
@@ -410,8 +410,6 @@ class WindowedILPMapper(BaseMapper):
             "windows_solved": 0,
             "window_seconds": 0.0,
             "greedy_windows": 0,
-            "window_shrinks": 0,
-            "whole_problem_fallback": 0,
             "deadline_greedy": 0,
             "refine_probes": 0,
             "refine_accepted": 0,
@@ -420,28 +418,15 @@ class WindowedILPMapper(BaseMapper):
             "targeted_rounds": 0,
             "targeted_accepted": 0,
         }
-        try:
-            result = self._rolling_and_refine(
-                spec, stats, deadline=deadline, ladder=ladder
-            )
-        except SynthesisError as error:
-            # A window dead-ended (the committed prefix saturated the
-            # grid for some window split).  The one-task-at-a-time
-            # greedy search is strictly more flexible about splits, so
-            # use it for the whole problem rather than fail.
-            stats["whole_problem_fallback"] = 1
-            if ladder is not None:
-                ladder.engage(
-                    "mapping", DegradationLadder.GREEDY, f"whole: {error}"
-                )
-            result = GreedyMapper().map_tasks(spec)
+        result = self._rolling_and_refine(
+            spec, stats, deadline=deadline, ladder=ladder
+        )
         result.wall_time = time.monotonic() - start_time
         result.stats.update(stats)
         if TELEMETRY.enabled:
             TELEMETRY.count("mapper.windows", int(stats["windows_solved"]))
             TELEMETRY.count(
-                "mapper.greedy_fallbacks",
-                int(stats["greedy_windows"] + stats["whole_problem_fallback"]),
+                "mapper.greedy_fallbacks", int(stats["greedy_windows"])
             )
             TELEMETRY.count(
                 "mapper.refine_accepted", int(stats["refine_accepted"])
@@ -451,9 +436,6 @@ class WindowedILPMapper(BaseMapper):
             )
             TELEMETRY.count(
                 "mapper.targeted_rounds", int(stats["targeted_rounds"])
-            )
-            TELEMETRY.count(
-                "mapper.window_shrinks", int(stats["window_shrinks"])
             )
             TELEMETRY.add_time(
                 "mapper.window_solve",
@@ -742,14 +724,10 @@ class WindowedILPMapper(BaseMapper):
         deadline: Optional[Deadline] = None,
         ladder: Optional[DegradationLadder] = None,
     ) -> MappingResult:
-        """Solve one window, descending the ladder on failure.
-
-        1. the window's exact ILP (time-limited by the deadline);
-        2. ``window_shrink`` — split the window in half, solve each
-           half exactly (the first half commits before the second);
-        3. ``greedy`` (scope ``window``) — the greedy balancer for
-           this window only (raises :class:`SynthesisError` when even that is
-           infeasible; the caller owns the next rung).
+        """Solve one window: its exact ILP (time-limited by the deadline),
+        else the greedy balancer for this window only (``greedy``, scope
+        ``window``), which raises :class:`SynthesisError` when it cannot
+        place the window either.  No split is tried (DESIGN.md §9.2).
         """
         window_start = time.perf_counter()
         limit = self.time_limit_per_window
@@ -758,31 +736,17 @@ class WindowedILPMapper(BaseMapper):
         window_spec = window_subspec(
             spec, window, ordered, placements, discouraged
         )
-        result: Optional[MappingResult] = None
         try:
             result = self._ilp(limit).map_tasks(
                 window_spec, deadline=deadline, ladder=ladder
             )
         except (SynthesisError, SolverError) as error:
-            if len(window) > 1 and (deadline is None or not deadline.expired):
-                if stats is not None:
-                    stats["window_shrinks"] += 1
-                if ladder is not None:
-                    ladder.engage(
-                        "mapping",
-                        DegradationLadder.WINDOW_SHRINK,
-                        f"window of {len(window)} split after: {error}",
-                    )
-                result = self._solve_shrunk(
-                    spec, window, ordered, placements, discouraged, deadline,
-                    ladder,
-                )
-        if result is None:
             if ladder is not None:
                 ladder.engage(
                     "mapping",
                     DegradationLadder.GREEDY,
-                    f"window: greedy fallback for window of {len(window)}",
+                    f"window: greedy fallback for window of {len(window)} "
+                    f"after: {error}",
                 )
             result = GreedyMapper().map_tasks(window_spec)
         if stats is not None:
@@ -791,55 +755,6 @@ class WindowedILPMapper(BaseMapper):
             if result.mapper == GreedyMapper.name:
                 stats["greedy_windows"] += 1
         return result
-
-    def _solve_shrunk(
-        self,
-        spec: MappingSpec,
-        window: List[MappingTask],
-        ordered: List[MappingTask],
-        placements: Dict[str, Placement],
-        discouraged: frozenset,
-        deadline: Optional[Deadline],
-        ladder: Optional[DegradationLadder],
-    ) -> Optional[MappingResult]:
-        """The ``window_shrink`` rung: two exact half-window solves.
-
-        A timed-out or infeasible full window often splits into two
-        tractable halves (half the binaries, half the disjunctions).
-        Returns None when either half fails — the caller then takes the
-        greedy rung.
-        """
-        mid = len(window) // 2
-        staged = dict(placements)
-        merged: Dict[str, Placement] = {}
-        overlaps: List[Pair] = []
-        objective = 0
-        for half in (window[:mid], window[mid:]):
-            limit = self.time_limit_per_window
-            if deadline is not None:
-                limit = deadline.limit(limit)
-            half_spec = window_subspec(
-                spec, half, ordered, staged, discouraged
-            )
-            try:
-                result = self._ilp(limit).map_tasks(
-                    half_spec, deadline=deadline, ladder=ladder
-                )
-            except (SynthesisError, SolverError):
-                return None
-            for task in half:
-                placement = result.placements[task.name]
-                staged[task.name] = placement
-                merged[task.name] = placement
-            overlaps.extend(result.used_overlaps)
-            objective = max(objective, result.objective)
-        return MappingResult(
-            placements=merged,
-            objective=objective,
-            mapper=ILPMapper.name,
-            used_overlaps=overlaps,
-            optimal=False,  # solved as halves, not jointly
-        )
 
     @staticmethod
     def _total_objective(

@@ -237,7 +237,7 @@ class ReliabilitySynthesizer:
         report = ResilienceReport(
             budget=deadline.budget if deadline is not None else None
         )
-        ladder = DegradationLadder(report, deadline)
+        ladder = DegradationLadder(report)
         # The mapping stage (including storage repair) gets a fraction
         # of the budget; routing runs against a 1.1x grace deadline, so
         # a mapping stage that spends its full share can never starve

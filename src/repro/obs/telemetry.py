@@ -20,13 +20,13 @@ Counter names are dotted paths, one prefix per subsystem:
   (``basis_reuse_hits``, ``warm_starts``, ``warm_fallbacks``,
   ``dual_pivots``) of the compiled-model engine
   (``repro.ilp.branch_bound``)
-* ``mapper.*`` — window solves, window shrinks, greedy fallbacks,
-  refinement accept/reject tallies and targeted rounds
+* ``mapper.*`` — window solves, greedy fallbacks, refinement
+  accept/reject tallies and targeted rounds
   (``repro.core.mappers``)
 * ``routing.*`` — Dijkstra heap pops, rip-up & re-route events
   (``repro.routing``)
 * ``resilience.*`` — one counter per degradation-ladder rung engaged
-  (``resilience.window_shrink``, ``resilience.greedy``, … — see
+  (``resilience.greedy``, ``resilience.worker_retry``, … — see
   DESIGN.md §9); a clean run records none (``repro.resilience``)
 * ``certify.*`` — certification-layer activity (DESIGN.md §10): LP/MILP
   certificates checked and failed (``certify.milp``,
@@ -47,8 +47,8 @@ Counter names are dotted paths, one prefix per subsystem:
   (HiGHS status-4 runs that fell back to branch & bound)
   (``repro.ilp.scipy_backend``)
 * ``serve.*`` — synthesis-as-a-service activity (DESIGN.md §15): job
-  lifecycle (``submitted``, ``completed``, ``failed``,
-  ``worker_retries``, the ``solve`` timer), canonical-cache traffic
+  lifecycle (``submitted``, ``completed``, ``failed``, the ``solve``
+  timer), canonical-cache traffic
   (``cache_hits``, ``cache_misses``, ``cache_stores``,
   ``cache_evicted``, ``cache_write_failures``, ``coalesced``),
   admission control (``shed``, ``rejected``) and the circuit breaker

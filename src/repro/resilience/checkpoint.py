@@ -36,10 +36,8 @@ hits/misses/rejections land in ``checkpoint.*`` telemetry and the
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
-import zlib
 from typing import Dict, Optional
 
 from repro.architecture.device import Placement
@@ -51,11 +49,11 @@ from repro.resilience.faults import FAULTS
 from repro.resilience.report import DegradationLadder
 
 # Canonicalization is shared with the serve result cache (DESIGN.md §15):
-# both key content by the same canonical JSON + SHA-256 scheme, and the
+# both key content by the same canonical JSON + SHA-256 scheme and write
+# records with the same CRC codec (``seal`` / ``unseal``), and the
 # regression test in tests/serve/test_canonical.py pins spec_key
 # byte-identical so existing journals keep resuming.
-from repro.serve.canonical import canonical_json as _canonical
-from repro.serve.canonical import spec_key
+from repro.serve.canonical import seal, spec_key, unseal
 
 _JOURNAL_NAME = "journal.jsonl"
 
@@ -90,8 +88,10 @@ class CheckpointJournal:
 
     One instance serves a whole synthesis run (and any number of
     resumed runs pointed at the same directory).  Thread-compatible in
-    the way the mappers need: lookups/appends happen only from the
-    parent process's mapping loop, never from pool workers.
+    the way the mappers need: lookups/appends happen only in the
+    parent process's mapping loop, never in a supervised worker (a
+    worker's mapper gets no journal; the parent records the result it
+    receives).
     """
 
     def __init__(
@@ -139,27 +139,15 @@ class CheckpointJournal:
             line = line.strip()
             if not line:
                 continue
-            reason = None
             try:
-                record = json.loads(line)
-                key = record["key"]
-                payload = record["payload"]
-                crc = record["crc"]
-            except (ValueError, KeyError, TypeError) as exc:
-                reason = f"unparseable ({exc.__class__.__name__})"
-            else:
-                expected = zlib.crc32(
-                    _canonical({"key": key, "payload": payload}).encode()
-                )
-                if crc != expected:
-                    reason = f"CRC mismatch (got {crc!r}, want {expected})"
-            if reason is not None:
+                key, payload = unseal(line)
+            except ValueError as exc:
                 self.corrupt += 1
                 if TELEMETRY.enabled:
                     TELEMETRY.count("checkpoint.corrupt_records")
                 warnings.warn(
                     f"checkpoint journal {self.path}: skipping record "
-                    f"{index + 1}: {reason}",
+                    f"{index + 1}: {exc}",
                     CorruptJournalWarning,
                     stacklevel=2,
                 )
@@ -267,13 +255,11 @@ class CheckpointJournal:
         """
         key = spec_key(spec)
         payload = _serialize_result(result)
-        body = {"key": key, "payload": payload}
-        line = _canonical(
-            {"key": key, "payload": payload, "crc": zlib.crc32(_canonical(body).encode())}
+        line = seal(
+            key,
+            payload,
+            FAULTS.armed and FAULTS.should_fire("checkpoint.corrupt"),
         )
-        if FAULTS.armed and FAULTS.should_fire("checkpoint.corrupt"):
-            middle = len(line) // 2
-            line = line[:middle] + ("#" if line[middle] != "#" else "@") + line[middle + 1:]
         try:
             self._file.write(line + "\n")
             self._file.flush()

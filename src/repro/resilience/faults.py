@@ -34,11 +34,6 @@ site                effect when fired
                     soft budget and kills it
 ``checkpoint.corrupt``  the journal flips one byte of the record being
                     appended, exercising the load-time CRC skip path
-``serve.worker_loss``  a serve-tier solve dies with
-                    :class:`WorkerCrashError` before producing a
-                    result — retried with backoff, then counted
-                    against the per-problem circuit breaker
-                    (DESIGN.md §15)
 ``serve.cache_corrupt``  the serve cache flips one byte of the record
                     being stored, exercising the lookup-time CRC
                     evict-and-re-solve path

@@ -10,24 +10,21 @@ descend them (see DESIGN.md §9):
 ========================  ============================================
 rung                      meaning
 ========================  ============================================
-``window_shrink``         a window's ILP solve failed (timeout /
-                          infeasible / solver fault); the window was
-                          split in half and each half solved exactly
 ``greedy``                the mapping fell back to the greedy
                           balancer; the event detail starts with the
-                          scope: ``window`` (the shrunken halves failed
-                          too; that window alone), ``whole`` (a window
-                          dead-ended even for greedy; the whole mapping
-                          restarted greedily), ``mapping`` (the
+                          scope: ``window`` (a window's ILP solve
+                          failed — timeout / infeasible / solver
+                          fault; that window alone), ``mapping`` (the
                           configured mapper failed outright: solver
-                          fault / budget expiry on the monolithic ILP)
+                          fault / budget expiry on the monolithic ILP,
+                          or a window that even greedy could not place;
+                          the whole mapping was re-done greedily)
                           or ``deadline`` (the mapping-stage deadline
                           expired mid-roll; the remaining tasks were
                           placed greedily and refinement was skipped)
 ``worker_retry``          a supervised worker (crash, missed
-                          heartbeat, RSS kill) or a serve-tier solve
-                          was lost; the work was retried after a
-                          seeded exponential backoff
+                          heartbeat, RSS kill) was lost; the work was
+                          retried after a seeded exponential backoff
 ``worker_serial``         supervised retries were exhausted; the solve
                           re-ran in-process (unsupervised) instead
 ``checkpoint_resume``     certified window solutions were replayed from
@@ -66,14 +63,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import TELEMETRY
-from repro.resilience.deadline import Deadline
 
 
 @dataclass(frozen=True)
 class ResilienceEvent:
     """One ladder rung engagement during a synthesis run."""
 
-    stage: str  # "mapping" | "pool" | "routing"
+    stage: str  # "mapping" | "worker" | "routing" | "serve"
     rung: str
     detail: str = ""
 
@@ -132,16 +128,15 @@ class ResilienceReport:
 class DegradationLadder:
     """Bounded retry-with-relaxation policy shared across the pipeline.
 
-    The ladder owns the run's :class:`ResilienceReport` and (optional)
-    :class:`Deadline`; stages call :meth:`engage` when they step down a
-    rung.  The rung *mechanics* live where the state lives (the mapper
-    shrinks its own windows, the synthesizer re-maps without the
-    distance constraints) — the ladder is the shared record and the
-    shared vocabulary, so tests and reports can assert exactly which
+    The ladder owns the run's :class:`ResilienceReport`; stages call
+    :meth:`engage` when they step down a rung.  The rung *mechanics*
+    live where the state lives (the mapper re-places its own failed
+    windows, the synthesizer re-maps without the distance
+    constraints) — the ladder is the shared record and the shared
+    vocabulary, so tests and reports can assert exactly which
     relaxations a run used.
     """
 
-    WINDOW_SHRINK = "window_shrink"
     GREEDY = "greedy"
     WORKER_RETRY = "worker_retry"
     WORKER_SERIAL = "worker_serial"
@@ -154,7 +149,6 @@ class DegradationLadder:
 
     #: every rung, in descent order (documentation + test parametrization).
     RUNGS = (
-        WINDOW_SHRINK,
         GREEDY,
         WORKER_RETRY,
         WORKER_SERIAL,
@@ -166,13 +160,8 @@ class DegradationLadder:
         SERVE_BREAKER,
     )
 
-    def __init__(
-        self,
-        report: Optional[ResilienceReport] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> None:
+    def __init__(self, report: Optional[ResilienceReport] = None) -> None:
         self.report = report if report is not None else ResilienceReport()
-        self.deadline = deadline
 
     def engage(self, stage: str, rung: str, detail: str = "") -> None:
         """Record that ``stage`` stepped down to ``rung``."""

@@ -33,7 +33,6 @@ _EXPORTS = {
     "AdmissionController": "repro.serve.admission",
     "AdmissionDecision": "repro.serve.admission",
     "CircuitBreaker": "repro.serve.breaker",
-    "BreakerOpenError": "repro.serve.breaker",
     "ServeConfig": "repro.serve.engine",
     "ServeEngine": "repro.serve.engine",
     "ServeServer": "repro.serve.engine",

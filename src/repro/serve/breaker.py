@@ -1,8 +1,9 @@
 """Per-problem circuit breaker over the solver tier (DESIGN.md §15).
 
-A problem whose solves keep dying (worker crashes, budget expiries)
-must not be allowed to burn a worker slot on every resubmission.  The
-breaker runs the classic three-state machine *per problem key*:
+A problem whose designs keep failing their audit (the serve engine's
+``_require_audit_ok``: a solver-integrity failure) must not be allowed
+to burn a worker slot on every resubmission.  The breaker runs the
+classic three-state machine *per problem key*:
 
 * **closed** — solves run normally; consecutive failures count up.
 * **open** — after ``threshold`` consecutive failures the key trips:
@@ -22,16 +23,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict
 
-from repro.errors import ReproError
 from repro.obs import TELEMETRY
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
-
-
-class BreakerOpenError(ReproError):
-    """Raised by :meth:`CircuitBreaker.check` while a key is open."""
 
 
 class _Entry:
@@ -102,13 +98,6 @@ class CircuitBreaker:
         self.shorted += 1
         if TELEMETRY.enabled:
             TELEMETRY.count("serve.breaker_open")
-
-    def check(self, key: str) -> None:
-        """Raise :class:`BreakerOpenError` unless a solve may run."""
-        if self.allow(key) == OPEN:
-            raise BreakerOpenError(
-                f"circuit breaker open for problem {key[:12]}…"
-            )
 
     def record_success(self, key: str) -> None:
         """A solve (or probe) for ``key`` succeeded: close and reset."""

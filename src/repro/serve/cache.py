@@ -5,12 +5,12 @@ Two layers keep duplicate traffic off the solver:
 * :class:`ResultCache` — finished results keyed by
   :func:`repro.serve.canonical.problem_key`, held in memory and
   (optionally) on disk.  Disk entries use the checkpoint journal's
-  record discipline: canonical JSON guarded by a CRC32 over the body,
-  so a torn write or flipped byte is *detected* — the damaged entry is
-  evicted with a :class:`~repro.errors.CorruptCacheWarning` and the
-  problem re-solved, never served.  The ``serve.cache_corrupt`` chaos
-  site flips one byte of a record as it is written, exercising exactly
-  that path.
+  record codec (:func:`repro.serve.canonical.seal`): canonical JSON
+  guarded by a CRC32 over the body, so a torn write or flipped byte is
+  *detected* — the damaged entry is evicted with a
+  :class:`~repro.errors.CorruptCacheWarning` and the problem re-solved,
+  never served.  The ``serve.cache_corrupt`` chaos site flips one byte
+  of a record as it is written, exercising exactly that path.
 * :class:`SingleFlight` — identical problems submitted while the first
   one is still solving share that solve's future instead of queueing
   their own.  The first claimant is the *leader*; followers coalesce.
@@ -22,17 +22,15 @@ Two layers keep duplicate traffic off the solver:
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import warnings
-import zlib
 from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import CorruptCacheWarning
 from repro.obs import TELEMETRY
 from repro.resilience.faults import FAULTS
-from repro.serve.canonical import canonical_json
+from repro.serve.canonical import seal, unseal
 
 
 class ResultCache:
@@ -120,19 +118,13 @@ class ResultCache:
         reason = None
         try:
             with open(path, "r", encoding="utf-8", errors="replace") as f:
-                record = json.load(f)
-            stored_key = record["key"]
-            payload = record["payload"]
-            crc = record["crc"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+                stored_key, payload = unseal(f.read())
+        except OSError as exc:
             reason = f"unparseable ({exc.__class__.__name__})"
+        except ValueError as exc:
+            reason = str(exc)
         else:
-            expected = zlib.crc32(
-                canonical_json({"key": stored_key, "payload": payload}).encode()
-            )
-            if crc != expected:
-                reason = f"CRC mismatch (got {crc!r}, want {expected})"
-            elif stored_key != key:
+            if stored_key != key:
                 reason = f"key mismatch (record says {stored_key[:12]}…)"
         if reason is not None:
             self.evicted += 1
@@ -162,16 +154,12 @@ class ResultCache:
             TELEMETRY.count("serve.cache_stores")
         if self.directory is None:
             return
-        body = {"key": key, "payload": payload}
-        line = canonical_json(
-            {"key": key, "payload": payload, "crc": zlib.crc32(canonical_json(body).encode())}
-        )
-        if FAULTS.armed and FAULTS.should_fire("serve.cache_corrupt"):
-            middle = len(line) // 2
-            line = line[:middle] + ("#" if line[middle] != "#" else "@") + line[middle + 1:]
+        corrupt = FAULTS.armed and FAULTS.should_fire("serve.cache_corrupt")
+        if corrupt:
             # The in-memory copy must rot too, or the fault never
             # reaches the CRC path in this process.
             del self._memory[key]
+        line = seal(key, payload, corrupt)
         path = self._path(key)
         try:
             with open(path, "w", encoding="utf-8") as f:

@@ -49,10 +49,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "canonical_json",
+    "seal",
+    "unseal",
     "health_fields",
     "spec_key",
     "operation_fingerprints",
@@ -70,6 +73,39 @@ def canonical_json(data) -> str:
     in ``tests/serve/test_canonical.py``).
     """
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _crc(body: dict) -> int:
+    return zlib.crc32(canonical_json(body).encode())
+
+
+def seal(key: str, payload, corrupt: bool = False) -> str:
+    """The checkpoint journal's and serve cache's record: canonical JSON
+    of ``key``, ``payload`` and the CRC32 of canonical ``{key, payload}``.
+    ``corrupt`` (a chaos site) flips the middle byte.
+    """
+    body = {"key": key, "payload": payload}
+    line = canonical_json(dict(body, crc=_crc(body)))
+    if corrupt:
+        middle = len(line) // 2
+        flipped = "#" if line[middle] != "#" else "@"
+        line = line[:middle] + flipped + line[middle + 1:]
+    return line
+
+
+def unseal(line: str) -> Tuple[str, object]:
+    """``(key, payload)`` of a :func:`seal` record; a record that does
+    not parse or fails its CRC raises :class:`ValueError` (the reason).
+    """
+    try:
+        record = json.loads(line)
+        key, payload, crc = record["key"], record["payload"], record["crc"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"unparseable ({exc.__class__.__name__})") from exc
+    expected = _crc({"key": key, "payload": payload})
+    if crc != expected:
+        raise ValueError(f"CRC mismatch (got {crc!r}, want {expected})")
+    return key, payload
 
 
 def _sha(data) -> str:

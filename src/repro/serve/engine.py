@@ -16,10 +16,10 @@ around the solver:
    jobs get multiplied-down time budgets; the synthesis pipeline's own
    degradation ladder turns a short budget into a degraded-but-valid
    result), then rejects explicitly at capacity;
-4. **circuit breaker + retries** — worker losses and budget expiries
-   are retried with the seeded :class:`~repro.resilience.BackoffPolicy`;
-   a problem that keeps failing trips its breaker and is answered with
-   a greedy degraded solve until a half-open probe succeeds.
+4. **circuit breaker** — a problem whose designs keep failing their
+   audit trips its breaker and is answered with a greedy degraded solve
+   until a half-open probe succeeds.  Nothing is retried: synthesis
+   already absorbs lost workers and routing overruns (DESIGN.md §15.3).
 
 Every result is produced with ``certify="audit"`` and a failed audit
 fails the job — the engine never serves an uncertified design.
@@ -28,7 +28,6 @@ fails the job — the engine never serves an uncertified design.
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
@@ -38,21 +37,15 @@ from repro.assay.textio import graph_from_text, schedule_from_text
 from repro.core.export import design_dict
 from repro.core.mappers import GreedyMapper
 from repro.core.synthesis import ReliabilitySynthesizer, SynthesisConfig
-from repro.errors import (
-    ReproError,
-    SynthesisError,
-    TimeLimitError,
-    WorkerCrashError,
-)
+from repro.errors import ReproError, SynthesisError
 from repro.geometry import GridSpec
 from repro.obs import TELEMETRY
-from repro.resilience import BackoffPolicy, Deadline, DegradationLadder
-from repro.resilience.faults import FAULTS
+from repro.resilience import Deadline, DegradationLadder
 from repro.serve.admission import (
     DEFAULT_SHED_LEVELS,
     AdmissionController,
 )
-from repro.serve.breaker import CLOSED, OPEN, CircuitBreaker
+from repro.serve.breaker import OPEN, CircuitBreaker
 from repro.serve.cache import ResultCache, SingleFlight
 from repro.serve.canonical import (
     canonical_ids,
@@ -88,14 +81,7 @@ class ServeConfig:
     cache_entries: int = 256
     #: per-source latency samples kept for the p50/p99 window.
     latency_window: int = 512
-    #: retries after a worker loss / budget expiry before the job fails.
-    retry_attempts: int = 2
-    #: backoff between those retries (seeded, deterministic).
-    backoff: BackoffPolicy = field(
-        default_factory=lambda: BackoffPolicy(base=0.01, cap=0.25)
-    )
-    backoff_seed: int = 0
-    #: consecutive failures before a problem's breaker trips.
+    #: consecutive failed audits before a problem's breaker trips.
     breaker_threshold: int = 3
     #: seconds an open breaker waits before letting a probe through.
     breaker_cooldown: float = 5.0
@@ -368,7 +354,7 @@ class ServeEngine:
     # -- the solve itself (runs in a thread) -------------------------------
 
     def _solve(self, job: Job) -> dict:
-        """Breaker gate, retry loop, synthesis, audit check."""
+        """Breaker gate, synthesis, audit check."""
         gate = self.breaker.allow(job.key)
         if gate == OPEN:
             result = self._synthesize(
@@ -388,31 +374,7 @@ class ServeEngine:
             )
             return self._payload(job, result, served="degraded")
 
-        delays = self.config.backoff.delays(
-            "serve.worker", self.config.backoff_seed
-        )
-        error: Optional[ReproError] = None
-        result = None
-        for attempt in range(self.config.retry_attempts + 1):
-            try:
-                if FAULTS.armed and FAULTS.should_fire("serve.worker_loss"):
-                    raise WorkerCrashError(
-                        "chaos: serve worker lost", attempts=attempt + 1
-                    )
-                result = self._synthesize(job)
-                break
-            except (WorkerCrashError, TimeLimitError) as exc:
-                error = exc
-                if attempt >= self.config.retry_attempts:
-                    break
-                job.retries += 1
-                if TELEMETRY.enabled:
-                    TELEMETRY.count("serve.worker_retries")
-                time.sleep(next(delays))
-        if result is None:
-            self.breaker.record_failure(job.key)
-            assert error is not None
-            raise error
+        result = self._synthesize(job)
         try:
             # A design that fails its own audit is a solver-integrity
             # failure: count it against the breaker and fail the job —
@@ -422,12 +384,6 @@ class ServeEngine:
             self.breaker.record_failure(job.key)
             raise
         self.breaker.record_success(job.key)
-        if job.retries:
-            result.resilience.record(
-                "serve",
-                DegradationLadder.WORKER_RETRY,
-                f"serve retried {job.retries} time(s) after worker loss",
-            )
         if job.shed_multiplier < 1.0:
             result.resilience.record(
                 "serve",

@@ -135,7 +135,6 @@ class Job:
         "shed_multiplier",
         "time_budget",
         "leader",
-        "retries",
         "payload",
         "error",
         "future",
@@ -160,7 +159,6 @@ class Job:
         self.shed_multiplier = 1.0
         self.time_budget = time_budget
         self.leader = False
-        self.retries = 0
         self.payload: Optional[dict] = None
         self.error: Optional[dict] = None
         self.future: "asyncio.Future[Job]" = (
@@ -207,7 +205,6 @@ class Job:
             "state": self.state,
             "source": self.source,
             "shed_multiplier": self.shed_multiplier,
-            "retries": self.retries,
             "latency": self.latency,
             "error": self.error,
         }

@@ -1,8 +1,8 @@
 """Coverage for the mapper fallback paths that predate the ladder.
 
-``whole_problem_fallback`` (window dead-end → greedy for the whole
-problem), ``greedy_windows`` (one window → greedy), and a FEASIBLE
-(incumbent, not proven optimal) solution flowing through
+A window dead-end (the windowed mapper raises; the synthesizer re-maps
+the whole problem greedily), ``greedy_windows`` (one window → greedy),
+and a FEASIBLE (incumbent, not proven optimal) solution flowing through
 :class:`ILPMapper` were all reachable before the resilience work but
 untested; these tests pin their semantics.
 """
@@ -16,6 +16,7 @@ from repro.core.mappers import (
     WindowedILPMapper,
 )
 from repro.core.mapping_model import MappingSpec
+from repro.core.synthesis import ReliabilitySynthesizer
 from repro.core.tasks import MappingTask
 from repro.errors import SynthesisError
 from repro.geometry import GridSpec
@@ -42,8 +43,9 @@ def make_spec(n_tasks: int = 3, grid: int = 8) -> MappingSpec:
 
 class TestWholeProblemFallback:
     def test_window_dead_end_falls_back_to_whole_greedy(self, monkeypatch):
-        """A SynthesisError out of the rolling pass → greedy remap of the
-        entire problem, recorded in stats and on the ladder."""
+        """A SynthesisError out of the rolling pass propagates out of the
+        windowed mapper; the synthesizer's last rung re-maps the entire
+        problem greedily (scope ``mapping``)."""
         mapper = WindowedILPMapper(window_size=2)
 
         def explode(*args, **kwargs):
@@ -51,16 +53,27 @@ class TestWholeProblemFallback:
 
         monkeypatch.setattr(mapper, "_solve_window", explode)
         ladder = DegradationLadder()
-        result = mapper.map_tasks(make_spec(), ladder=ladder)
+        with pytest.raises(SynthesisError, match="window dead end"):
+            mapper.map_tasks(make_spec(), ladder=ladder)
+        assert not ladder.report.degraded
+
+        result = ReliabilitySynthesizer._map_once(
+            make_spec(), mapper, None, ladder
+        )
         assert result.mapper == GreedyMapper.name
-        assert result.stats["whole_problem_fallback"] == 1
         assert ladder.fired(DegradationLadder.GREEDY) == 1
-        assert ladder.report.events[0].detail.startswith("whole:")
+        assert ladder.report.events[0].detail == (
+            "mapping: window dead end (test)"
+        )
         assert len(result.placements) == 3
 
     def test_clean_solve_does_not_fall_back(self):
-        result = WindowedILPMapper(window_size=2).map_tasks(make_spec())
-        assert result.stats["whole_problem_fallback"] == 0
+        ladder = DegradationLadder()
+        result = WindowedILPMapper(window_size=2).map_tasks(
+            make_spec(), ladder=ladder
+        )
+        assert result.stats["greedy_windows"] == 0
+        assert not ladder.report.degraded
         assert result.mapper == WindowedILPMapper.name
 
 

@@ -50,9 +50,9 @@ class TestRefinement:
         assert set(result.placements) == {"m0", "m1"}
 
     def test_whole_problem_greedy_fallback(self):
-        """When every window dead-ends, the mapper degrades to greedy."""
-        # 3 concurrent 8-rings only just fit a 7x7 grid; window commits
-        # can dead-end, but the fallback must deliver a valid result.
+        """A tight grid still maps every task."""
+        # 3 concurrent 8-rings only just fit a 7x7 grid; a window that
+        # dead-ends goes greedy, and the result must still be valid.
         spec = concurrent_spec(3, 8)
         result = WindowedILPMapper(window_size=3).map_tasks(spec)
         assert set(result.placements) == {"m0", "m1", "m2"}

@@ -10,14 +10,10 @@ import warnings
 
 import pytest
 
-from repro.core.mappers import ILPMapper, WindowedILPMapper
+from repro.core.mappers import WindowedILPMapper
 from repro.core.simulation import ChipSimulator
 from repro.core.synthesis import ReliabilitySynthesizer, SynthesisConfig
-from repro.errors import (
-    CorruptJournalWarning,
-    DegradedResultWarning,
-    SolverError,
-)
+from repro.errors import CorruptJournalWarning, DegradedResultWarning
 from repro.geometry import GridSpec
 from repro.resilience import FAULTS, DegradationLadder
 
@@ -84,33 +80,6 @@ class TestWorkerSites:
         if time_budget is not None:
             assert result.metrics.mapper == "anytime"
             assert specs[0].peak_floor() < highs_peak(specs[0])
-        assert_simulator_valid(result)
-
-    def test_shrunk_window_halves_report_their_lost_workers(
-        self, monkeypatch
-    ):
-        # The full window's workers are all lost and its serial
-        # re-solve fails, so the window is split; each half then loses
-        # its workers too.  Every half's worker_serial must reach the
-        # run's report, next to the window's own.
-        original = ILPMapper.solve_built
-        calls = []
-
-        def fail_first(self, built, limit):
-            calls.append(1)
-            if len(calls) == 1:
-                raise SolverError("serial window re-solve failed")
-            return original(self, built, limit)
-
-        monkeypatch.setattr(ILPMapper, "solve_built", fail_first)
-        with FAULTS.inject({"worker.crash": 9}):
-            result = synthesize_tiny(
-                supervised=True, mapper=WindowedILPMapper(window_size=3)
-            )
-            assert FAULTS.fired("worker.crash") == 9
-        report = result.resilience
-        assert report.count(DegradationLadder.WINDOW_SHRINK) == 1
-        assert report.count(DegradationLadder.WORKER_SERIAL) == 3
         assert_simulator_valid(result)
 
     def test_unfaulted_supervised_run_is_clean(self):

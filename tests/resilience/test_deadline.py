@@ -110,21 +110,21 @@ class TestResilienceReport:
 
     def test_record_and_counts(self):
         report = ResilienceReport()
-        report.record("mapping", "window_shrink", "w1")
-        report.record("mapping", "window_shrink", "w2")
+        report.record("mapping", "greedy", "w1")
+        report.record("mapping", "greedy", "w2")
         report.record("routing", "routing_relaxed")
         assert report.degraded
-        assert report.count("window_shrink") == 2
+        assert report.count("greedy") == 2
         assert report.rung_counts() == {
-            "window_shrink": 2,
+            "greedy": 2,
             "routing_relaxed": 1,
         }
-        assert "window_shrink x2" in report.summary()
+        assert "greedy x2" in report.summary()
         data = report.as_dict()
         assert data["degraded"] is True
         assert data["events"][0] == {
             "stage": "mapping",
-            "rung": "window_shrink",
+            "rung": "greedy",
             "detail": "w1",
         }
 
@@ -133,12 +133,12 @@ class TestResilienceReport:
         TELEMETRY.enabled = True
         try:
             report = ResilienceReport()
-            report.record("mapping", "window_shrink")
+            report.record("mapping", "greedy")
             counters = TELEMETRY.snapshot()["counters"]
         finally:
             TELEMETRY.enabled = False
             TELEMETRY.reset()
-        assert counters["resilience.window_shrink"] == 1
+        assert counters["resilience.greedy"] == 1
 
 
 class TestDegradationLadder:
@@ -157,7 +157,6 @@ class TestDegradationLadder:
 
     def test_rung_constants_are_complete(self):
         assert set(DegradationLadder.RUNGS) == {
-            "window_shrink",
             "greedy",
             "worker_retry",
             "worker_serial",
@@ -195,6 +194,6 @@ class TestDegradationLadder:
         engaged = {
             getattr(DegradationLadder, name) for name in names - {"RUNGS"}
         }
-        assert len(DegradationLadder.RUNGS) == 10
+        assert len(DegradationLadder.RUNGS) == 9
         assert documented == set(DegradationLadder.RUNGS)
         assert engaged == set(DegradationLadder.RUNGS)

@@ -1,9 +1,10 @@
 """Chaos suite for the serve tier (DESIGN.md §15).
 
-Arms the ``serve.*`` fault sites and proves the availability claims:
-the server keeps answering under worker loss, cache corruption and
-queue overflow; every *served* result passes its audit; and the
-breaker's degrade-probe-recover cycle actually cycles.
+Arms the ``serve.*`` fault sites (and ``certify.audit``, which makes a
+design fail its audit) and proves the availability claims: the server
+keeps answering under failed audits, cache corruption and queue
+overflow; every *served* result passes its audit; and the breaker's
+degrade-probe-recover cycle actually cycles.
 """
 
 import asyncio
@@ -35,48 +36,17 @@ def run(coro):
     return asyncio.run(coro)
 
 
-class TestWorkerLoss:
-    def test_single_loss_is_retried_to_success(self):
-        async def body():
-            async with ServeEngine(config()) as engine:
-                with FAULTS.inject({"serve.worker_loss": 1}):
-                    job = await engine.submit(ASSAY)
-                    await job.wait()
-                assert job.state == JobState.DONE, job.error
-                assert job.retries == 1
-                rungs = job.payload["resilience"]["rungs"]
-                assert rungs.get("worker_retry") == 1
-                assert job.payload["audit"]["ok"] is True
-
-        run(body())
-
-    def test_persistent_loss_fails_the_job_cleanly(self):
-        async def body():
-            async with ServeEngine(config(retry_attempts=1)) as engine:
-                with FAULTS.inject({"serve.worker_loss": {"times": None}}):
-                    job = await engine.submit(ASSAY)
-                    await job.wait()
-                assert job.state == JobState.FAILED
-                assert "worker lost" in job.error["error"]
-                # The engine survived: the next clean submission solves.
-                job = await engine.submit(ASSAY)
-                await job.wait()
-                assert job.state == JobState.DONE, job.error
-
-        run(body())
-
-
 class TestBreakerCycle:
     def test_degrade_probe_recover(self):
         async def body():
             engine_config = config(
-                retry_attempts=0,
                 breaker_threshold=2,
                 breaker_cooldown=3600.0,
             )
             async with ServeEngine(engine_config) as engine:
-                # Two consecutive losses trip the per-problem breaker.
-                with FAULTS.inject({"serve.worker_loss": 2}):
+                # Two consecutive failed audits trip the per-problem
+                # breaker.
+                with FAULTS.inject({"certify.audit": 2}):
                     for _ in range(2):
                         job = await engine.submit(ASSAY)
                         await job.wait()
@@ -161,10 +131,10 @@ class TestEveryServedResultAudited:
 
         async def body():
             plan = {
-                "serve.worker_loss": {"times": 2, "after": 1},
+                "certify.audit": {"times": 2, "after": 1},
                 "serve.queue_overflow": {"times": 1, "after": 2},
             }
-            async with ServeEngine(config(retry_attempts=2)) as engine:
+            async with ServeEngine(config()) as engine:
                 with FAULTS.inject(plan):
                     jobs = []
                     for duration in (5, 6, 7, 8):
